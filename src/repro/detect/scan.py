@@ -43,6 +43,7 @@ from .sppnet import SPPNetDetector
 if TYPE_CHECKING:
     from ..robust.journal import ScanJournal, TileRecord
     from ..robust.sanitize import SanitizePolicy
+    from ..scanpar import SupervisionPolicy
     from ..serve import InferenceService
 
 __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
@@ -53,7 +54,8 @@ __all__ = ["SceneDetection", "SceneDetectionScores", "ScanCoverage",
 class ScanDeadlineError(TimeoutError):
     """A scan's wall-clock deadline expired before it finished.
 
-    Raised by the fleet supervisor (``repro.fleet.supervise``) when a
+    Raised by the sequential scans between batches or tiles, and by the
+    pool's dispatch loop (``repro.scanpar.WorkerPool.run``) when a
     run-level deadline — typically a per-request deadline propagated
     from ``serve.InferenceService.scan_scene(timeout_s=...)`` — passes
     with shards still in flight.  Journaled scans lose nothing: the
@@ -225,7 +227,7 @@ def scan_scene(
     n_workers: int | str = 1,
     pool=None,
     timeout_s: float | None = None,
-    supervision=None,
+    supervision: "SupervisionPolicy | None" = None,
 ) -> ScanDetections:
     """Detect crossings across a whole scene.
 
@@ -271,12 +273,12 @@ def scan_scene(
     scan raises :class:`ScanDeadlineError` instead of running on.  On
     the sequential paths the deadline is checked between batches (or
     tiles, on the robust path — journaled tiles stay resumable); on the
-    parallel path it becomes the fleet supervisor's run deadline, and
+    parallel path it becomes the pool dispatch's run deadline, and
     on the service path it bounds each submitted request.
-    ``supervision`` (a ``repro.fleet.SupervisionPolicy``, or ``True``
-    for the defaults) enables supervised dispatch on the parallel path:
-    per-shard deadlines, hung/dead worker recovery, and poison-shard
-    quarantine — see ``docs/fleet.md``.
+    ``supervision`` (a :class:`repro.scanpar.SupervisionPolicy`; ``None``
+    means the default policy) tunes the parallel path's supervised
+    dispatch: per-shard deadlines, hung/dead worker recovery, and
+    poison-shard quarantine — see ``docs/scanning.md``.
 
     The returned list is a :class:`ScanDetections` carrying a
     :class:`ScanCoverage` (on the non-robust path it simply reports full

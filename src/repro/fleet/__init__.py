@@ -1,13 +1,12 @@
 """repro.fleet — supervised multi-scene scan orchestration.
 
 The scan stack below this package is already crash-*safe* (journals,
-resume, byte-identical parallel merge); this package makes it
-crash-*surviving* at two levels:
+resume, byte-identical parallel merge) and survives shard-level faults:
+:meth:`repro.scanpar.WorkerPool.run` supervises every parallel scan
+(per-shard deadlines, hung/dead worker kill-and-revive with
+redispatch, poison-shard quarantine with inline fallback).  This
+package adds scene-level survival on top:
 
-* :mod:`~repro.fleet.supervise` — shard-level: per-shard deadlines,
-  hung/dead worker kill-and-revive with redispatch, poison-shard
-  quarantine with inline fallback, all without breaking the
-  deterministic-merge byte-identity contract;
 * :mod:`~repro.fleet.jobs` — scene-level: a durable JSONL job queue
   with leases, heartbeats, exponential-backoff retries
   (:class:`~repro.nas.retry.RetryPolicy`), and a dead-letter state;
@@ -17,14 +16,13 @@ crash-*surviving* at two levels:
 See ``docs/fleet.md``.
 """
 
+from ..scanpar import SupervisionPolicy, SupervisionReport
 from .jobs import DEAD, DONE, LEASED, PENDING, JobQueue, JobQueueError, ScanJob
 from .orchestrator import ScanFleet
-from .supervise import ShardSupervisor, SupervisionPolicy, SupervisionReport
 
 __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
-    "ShardSupervisor",
     "JobQueue",
     "JobQueueError",
     "ScanJob",

@@ -1,13 +1,13 @@
 """Durable multi-scene job queue: leases, heartbeats, dead-letter.
 
 One fleet sweep scans many scenes; each scene is one job.  The queue is
-a single append-only JSONL event log (same crash contract as
-:class:`~repro.robust.ScanJournal`, including torn-tail repair through
-:func:`~repro.robust.journal.load_jsonl_repaired`): every state
-transition is one fsynced line, and opening the file replays the events
-into the current state.  Nothing is ever rewritten, so a worker killed
-mid-transition loses at most the line in flight — and a torn line is
-truncated away on the next open.
+a single append-only JSONL event log written and replayed through
+:mod:`repro.applog` (the same crash contract as
+:class:`~repro.robust.ScanJournal`, torn-tail repair included): every
+state transition is one fsynced line, and opening the file replays the
+events into the current state.  Nothing is ever rewritten, so a worker
+killed mid-transition loses at most the line in flight — and a torn
+line is truncated away on the next open.
 
 Semantics:
 
@@ -33,8 +33,6 @@ reclaimed job resumes its journal instead of rescanning from zero.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -42,8 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import applog
 from ..nas.retry import RetryPolicy
-from ..robust.journal import load_jsonl_repaired
 
 __all__ = ["JobQueue", "ScanJob", "JobQueueError",
            "PENDING", "LEASED", "DONE", "DEAD"]
@@ -57,7 +55,7 @@ DONE = "done"
 DEAD = "dead"
 
 
-class JobQueueError(RuntimeError):
+class JobQueueError(applog.LogError):
     """Corrupt queue file, or an event that violates job state."""
 
 
@@ -127,17 +125,11 @@ class JobQueue:
 
     # -- durability --------------------------------------------------------
 
-    def _append(self, event: dict) -> None:
-        line = json.dumps(event, allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _replay(self) -> None:
-        events = load_jsonl_repaired(self.path)
+        events = applog.replay(self.path, error=JobQueueError)
         if not events:
-            self._append({"kind": _HEADER_KIND, "version": _QUEUE_VERSION})
+            applog.append(self.path,
+                          [{"kind": _HEADER_KIND, "version": _QUEUE_VERSION}])
             return
         head = events[0]
         if head.get("kind") != _HEADER_KIND:
@@ -193,7 +185,7 @@ class JobQueue:
     def _record(self, event: dict) -> None:
         """Apply + append: memory first (validation), disk second."""
         self._apply(event)
-        self._append(event)
+        applog.append(self.path, [event])
 
     # -- producer side -----------------------------------------------------
 

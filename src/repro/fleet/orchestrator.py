@@ -12,10 +12,9 @@ crash-safe sweep over many scenes:
   at the exact tile its predecessor's crash left off — the per-tile
   durability lives in the scene's :class:`~repro.robust.ScanJournal`,
   not in the queue;
-* shard dispatch runs under the **supervisor**
-  (:class:`~repro.fleet.supervise.ShardSupervisor`) whenever the fleet
-  scans in parallel, so hung or dying pool workers cost redispatches,
-  not jobs.
+* parallel scans dispatch their shards through the pool's supervised
+  loop (:meth:`repro.scanpar.WorkerPool.run`), so hung or dying pool
+  workers cost redispatches, not jobs.
 
 A heartbeat thread extends the job lease while the scan runs; if the
 lease is lost anyway (the queue decided this process was dead), the
@@ -33,6 +32,7 @@ from pathlib import Path
 from ..detect.scan import scan_scene
 from ..geo.scene import Scene, build_scene
 from ..geo.synthesis import WatershedConfig
+from ..scanpar import SupervisionPolicy
 from .jobs import JobQueue, JobQueueError, ScanJob
 
 __all__ = ["ScanFleet"]
@@ -102,8 +102,9 @@ class ScanFleet:
                      (``<workdir>/<job_id>.journal.jsonl``).
     n_workers      : forwarded to :func:`~repro.detect.scan_scene` per
                      job (``"auto"`` adapts; 1 scans sequentially).
-    supervision    : ``repro.fleet.SupervisionPolicy`` (or ``True``)
-                     for supervised shard dispatch on parallel scans.
+    supervision    : :class:`~repro.scanpar.SupervisionPolicy` for the
+                     shard dispatch of parallel scans (``None``: the
+                     default policy).
     scene_provider : ``payload -> Scene`` hook; defaults to rebuilding
                      the scene from the payload's ``WatershedConfig``
                      dict.  Tests and benches inject prebuilt (or
@@ -114,7 +115,7 @@ class ScanFleet:
     def __init__(self, queue: JobQueue | str | Path, model, *,
                  workdir: str | Path,
                  n_workers: int | str = "auto",
-                 supervision=None,
+                 supervision: SupervisionPolicy | None = None,
                  scene_provider=None,
                  owner: str | None = None) -> None:
         import os

@@ -14,7 +14,7 @@ from .evaluator import (
     measure_latency_ms,
 )
 from .experiment import Experiment, TrialRecord, run_trial_with_retries
-from .journal import TrialJournal
+from .journal import TrialJournal, TrialJournalError
 from .parallel import ParallelExperiment
 from .pareto import dominates, front_table, knee_point, pareto_front
 from .retry import RetryPolicy
@@ -39,6 +39,7 @@ __all__ = [
     "Experiment",
     "RetryPolicy",
     "TrialJournal",
+    "TrialJournalError",
     "run_trial_with_retries",
     "RandomStrategy",
     "GridSearchStrategy",

@@ -1,23 +1,27 @@
 """Append-only JSONL trial journal: experiment checkpoint/resume.
 
 Every finished trial (successful or quarantined) is appended as one JSON
-line and flushed to disk, so a sweep killed at trial k has lost nothing —
-``load()`` rebuilds the trial DB and ``Experiment.resume`` /
-``ParallelExperiment.resume`` continue from it.  The format is
-self-describing (one ``TrialRecord`` per line) and append-only: a resume
-appends to the same file, never rewrites it.
+line and flushed to disk (through :mod:`repro.applog`), so a sweep
+killed at trial k has lost nothing — ``load()`` rebuilds the trial DB
+and ``Experiment.resume`` continues from it.  A sweep killed *during* an
+append leaves a torn last line, which ``load()`` truncates away.  The
+format is self-describing (one ``TrialRecord`` per line) and
+append-only: a resume appends to the same file, never rewrites it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from pathlib import Path
 
+from .. import applog
 from .experiment import TrialRecord
 
-__all__ = ["TrialJournal"]
+__all__ = ["TrialJournal", "TrialJournalError"]
+
+
+class TrialJournalError(applog.LogError):
+    """Corrupt trial journal."""
 
 
 class TrialJournal:
@@ -34,23 +38,12 @@ class TrialJournal:
         minutes, so durability beats the syscall cost, and there is no
         long-lived handle to leak when the process is killed.
         """
-        line = json.dumps(self.to_json(record), allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        applog.append(self.path, [self.to_json(record)])
 
     def load(self) -> list[TrialRecord]:
         """All journaled records, in the order they completed."""
-        if not self.path.exists():
-            return []
-        records: list[TrialRecord] = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(self.from_json(json.loads(line)))
-        return records
+        return [self.from_json(payload) for payload in
+                applog.replay(self.path, error=TrialJournalError)]
 
     @staticmethod
     def to_json(record: TrialRecord) -> dict:

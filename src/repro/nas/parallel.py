@@ -26,56 +26,31 @@ evenly (efficiency ``e(n)`` readouts consume this).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import FunctionalEvaluator
-from .experiment import TrialRecord, _as_journal, run_trial_with_retries
-from .retry import RetryPolicy
+from .experiment import Experiment, TrialRecord, _as_journal, run_trial_with_retries
 from .space import ModelSpace
-from .strategy import ExplorationStrategy, RandomStrategy
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .journal import TrialJournal
 
 __all__ = ["ParallelExperiment"]
 
 
 @dataclass
-class ParallelExperiment:
+class ParallelExperiment(Experiment):
     """Synchronous-batch multi-worker NAS experiment.
 
-    ``retry_policy`` and ``journal`` mirror :class:`~repro.nas.Experiment`:
-    failed trials are retried with backoff then quarantined, and every
-    finished trial is journaled (in proposal order) for crash resume.
+    An :class:`~repro.nas.Experiment` that evaluates ``workers`` trials
+    at a time; ``resume``, the retry/quarantine policy, the journal and
+    the aggregation methods are the base class's.  Trials are journaled
+    in proposal order.
     """
 
-    space: ModelSpace
-    evaluator: FunctionalEvaluator
-    strategy: ExplorationStrategy = field(default_factory=RandomStrategy)
-    max_trials: int = 20
     workers: int = 4
-    seed: int = 0
-    deduplicate: bool = True
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    journal: "TrialJournal | str | Path | None" = None
-    trials: list[TrialRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    @classmethod
-    def resume(cls, journal: "TrialJournal | str | Path", space: ModelSpace,
-               evaluator: FunctionalEvaluator, **kwargs) -> "ParallelExperiment":
-        """Continue a killed sweep from its trial journal (see
-        :meth:`repro.nas.Experiment.resume` for the determinism contract)."""
-        store = _as_journal(journal)
-        return cls(space=space, evaluator=evaluator, journal=store,
-                   trials=store.load(), **kwargs)
 
     def _propose_batch(self, rng: np.random.Generator,
                        seen: set[tuple]) -> list[dict]:
@@ -123,21 +98,3 @@ class ParallelExperiment:
                     if journal is not None:
                         journal.append(record)
         return self.trials
-
-    # -- aggregation ------------------------------------------------------
-    def succeeded(self) -> list[TrialRecord]:
-        return [t for t in self.trials if t.ok]
-
-    def failed(self) -> list[TrialRecord]:
-        """Quarantined trials (all retry attempts exhausted)."""
-        return [t for t in self.trials if not t.ok]
-
-    def best(self) -> TrialRecord:
-        ok = self.succeeded()
-        if not ok:
-            if self.trials:
-                raise RuntimeError(
-                    f"all {len(self.trials)} trials failed (quarantined)"
-                )
-            raise RuntimeError("experiment has not run")
-        return max(ok, key=lambda t: t.value)

@@ -11,7 +11,10 @@ that scan both memory-bounded and multi-core:
   slabs) in shared memory, read and written zero-copy by every worker;
 * :class:`WorkerPool` — persistent warm worker processes reused across
   scans, caching deserialized models (and their warmed compiled-engine
-  programs) by content hash;
+  programs) by content hash; :meth:`WorkerPool.run` is the one shard
+  dispatch loop, supervised under a :class:`SupervisionPolicy` (shard
+  deadlines, worker revival, poison-shard quarantine) and reporting
+  what recovery did in a :class:`SupervisionReport`;
 * :func:`parallel_scan_scene` — the sharded scan itself: adaptive
   ``n_workers="auto"`` policy, engine-warm pooled workers,
   shared-memory result return, deterministic merge, per-shard journals
@@ -29,6 +32,8 @@ from .parallel import (
     spawn_cost_ms,
 )
 from .pool import (
+    SupervisionPolicy,
+    SupervisionReport,
     WorkerError,
     WorkerPool,
     get_pool,
@@ -52,6 +57,8 @@ __all__ = [
     "run_shard",
     "WorkerPool",
     "WorkerError",
+    "SupervisionPolicy",
+    "SupervisionReport",
     "get_pool",
     "warm_pool",
     "shutdown_pools",

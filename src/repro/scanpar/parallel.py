@@ -58,7 +58,13 @@ from ..detect.scan import (
     scan_origins,
     scan_scene,
 )
-from .pool import WorkerPool, get_pool, warm_pool
+from .pool import (
+    SupervisionPolicy,
+    WorkerPool,
+    get_pool,
+    serialized_model,
+    warm_pool,
+)
 from .sharding import partition_origins
 from .shm import SharedArray
 from .worker import ShardTask, _warm_engine
@@ -218,7 +224,7 @@ def parallel_scan_scene(
     start_method: str | None = None,
     pool: WorkerPool | None = None,
     reuse_pool: bool = True,
-    supervision=None,
+    supervision: SupervisionPolicy | None = None,
     deadline_s: float | None = None,
 ) -> ScanDetections:
     """Shard a scene scan across pool workers.
@@ -237,16 +243,16 @@ def parallel_scan_scene(
     force a private single-scan pool (cold path, mainly for
     benchmarking the pool's own benefit).
 
-    ``supervision`` (a ``repro.fleet.SupervisionPolicy``, or ``True``
-    for the defaults) replaces the pool's trusting FIFO dispatch with
-    the fleet supervisor: per-shard deadlines, hung/dead worker
-    kill-and-revive with redispatch, and poison-shard quarantine that
-    degrades to inline execution — recovery is invisible to the merge,
-    so the byte-identity contract holds under faults.  ``deadline_s``
-    bounds the whole dispatch (it implies supervision) and raises
-    :class:`~repro.detect.scan.ScanDeadlineError` on expiry.  When
-    supervision ran, the returned :class:`~repro.detect.ScanDetections`
-    carries the :class:`~repro.fleet.SupervisionReport` as a
+    Shards dispatch through :meth:`WorkerPool.run` under
+    ``supervision`` (a :class:`~repro.scanpar.SupervisionPolicy`;
+    ``None`` means the default policy): per-shard deadlines, hung/dead
+    worker kill-and-revive with redispatch, and poison-shard quarantine
+    that degrades to inline execution — recovery is invisible to the
+    merge, so the byte-identity contract holds under faults.
+    ``deadline_s`` bounds the whole dispatch and raises
+    :class:`~repro.detect.scan.ScanDeadlineError` on expiry.  A scan
+    that ran on the pool returns :class:`~repro.detect.ScanDetections`
+    carrying the :class:`~repro.scanpar.SupervisionReport` as a
     ``.supervision`` attribute.
     """
     if deadline_s is not None and deadline_s <= 0:
@@ -296,7 +302,7 @@ def parallel_scan_scene(
         if backend == "engine":
             # Tune before shipping: compile (and autotune) every
             # micro-batch shape this scan runs in the PARENT first, so
-            # ensure_model ships the parent's conv-variant choices and
+            # pool.run ships the parent's conv-variant choices and
             # no worker re-measures a near-tie the other way — a
             # Winograd-vs-GEMM flip changes float rounding, and the
             # byte-identity contract needs every process binding the
@@ -311,21 +317,15 @@ def parallel_scan_scene(
                     if shard.size % batch_size:
                         sizes.add(shard.size % batch_size)
             _warm_engine(model, image.shape[0], window, sorted(sizes))
-        model_hash = pool.ensure_model(model)
-        run_tasks, report_cell = _make_task_runner(
-            pool, model, supervision=supervision, deadline_at=deadline_at,
-        )
+        _, model_hash = serialized_model(model)
         if robust:
-            result = _parallel_robust(
-                model_hash, image, origins, shards, meta, pool,
+            return _parallel_robust(
+                model, model_hash, image, origins, shards, meta, pool,
                 window=window, nms_radius=nms_radius, batch_size=batch_size,
                 backend=backend, confidence_threshold=confidence_threshold,
                 sanitize=sanitize, journal=journal, resume=resume,
-                run_tasks=run_tasks,
+                supervision=supervision, deadline_at=deadline_at,
             )
-            if report_cell:
-                result.supervision = report_cell[0]
-            return result
 
         with SharedArray(image) as shared, ExitStack() as slabs_stack:
             # one result slab per shard, sized from its origin count:
@@ -349,7 +349,8 @@ def parallel_scan_scene(
                 )
                 for shard, slab in zip(shards, slabs)
             ]
-            payloads = run_tasks(tasks)
+            payloads, report = pool.run(tasks, model, policy=supervision,
+                                        deadline_at=deadline_at)
             # shard order == origin order: concatenation restores the
             # exact sequence the sequential scan feeds to threshold+NMS
             conf_parts, box_parts = [], []
@@ -371,43 +372,15 @@ def parallel_scan_scene(
         result = ScanDetections(
             non_max_suppression(detections, radius=nms_radius), coverage
         )
-        if report_cell:
-            result.supervision = report_cell[0]
+        result.supervision = report
         return result
     finally:
         if own_pool is not None:
             own_pool.close()
 
 
-def _make_task_runner(pool: WorkerPool, model, *, supervision,
-                      deadline_at: float | None):
-    """(run_tasks, report_cell): the shard dispatch strategy.
-
-    Plain ``pool.run`` unless supervision (or a deadline, which implies
-    it) was requested — then a ``repro.fleet.ShardSupervisor`` takes
-    over and its :class:`~repro.fleet.SupervisionReport` lands in
-    ``report_cell[0]``.  The fleet import stays lazy to keep
-    ``repro.scanpar`` importable without ``repro.fleet`` (which imports
-    back into this package).
-    """
-    report_cell: list = []
-    if not supervision and deadline_at is None:
-        return pool.run, report_cell
-    from ..fleet.supervise import ShardSupervisor, SupervisionPolicy
-
-    policy = supervision if isinstance(supervision, SupervisionPolicy) \
-        else None
-    supervisor = ShardSupervisor(pool, model, policy)
-
-    def run_tasks(tasks: list) -> list[dict]:
-        payloads, report = supervisor.run(tasks, deadline_at=deadline_at)
-        report_cell[:] = [report]
-        return payloads
-
-    return run_tasks, report_cell
-
-
 def _parallel_robust(
+    model,
     model_hash: str,
     image: np.ndarray,
     origins: list[tuple[int, int]],
@@ -423,7 +396,8 @@ def _parallel_robust(
     sanitize,
     journal,
     resume: bool,
-    run_tasks,
+    supervision: SupervisionPolicy | None,
+    deadline_at: float | None,
 ) -> ScanDetections:
     """Sharded robust scan: per-shard journals merged into one."""
     from ..robust.journal import ScanJournal, TileRecord
@@ -459,7 +433,8 @@ def _parallel_robust(
             )
             for shard in shards
         ]
-        payloads = run_tasks(tasks)
+        payloads, report = pool.run(tasks, model, policy=supervision,
+                                    deadline_at=deadline_at)
 
     fresh = [rec for payload in payloads for rec in payload["records"]]
     if jr is not None:
@@ -478,5 +453,8 @@ def _parallel_robust(
             sum(payload["fallbacks"].values()) for payload in payloads
         ),
     )
-    return ScanDetections(non_max_suppression(detections, radius=nms_radius),
-                          coverage)
+    result = ScanDetections(
+        non_max_suppression(detections, radius=nms_radius), coverage
+    )
+    result.supervision = report
+    return result

@@ -23,11 +23,32 @@ module is that amortization:
   and ``serve.InferenceService.scan_scene`` (the service may also own a
   private pool tied to its startup/shutdown lifecycle).
 
-Dispatch never oversubscribes: tasks are distributed round-robin over
-the pool's worker budget (a worker queues extra shards instead of the
-pool spawning extra processes), and a worker exception comes back
-wrapped in :class:`WorkerError` naming the failing shard and its origin
-range.
+:meth:`WorkerPool.run` is the one shard dispatch loop.  It keeps one
+shard in flight per worker (never spawning past the worker budget) and
+supervises every dispatch under a :class:`SupervisionPolicy`:
+
+* every in-flight shard carries a deadline
+  (:attr:`SupervisionPolicy.shard_deadline_s`); a worker that misses it
+  is presumed hung and is killed — after a last ``poll(0)`` drain, so a
+  just-in-time answer is never discarded — then replaced, and the shard
+  is redispatched to another worker;
+* a worker that *dies* mid-shard (OOM kill, segfault, SIGKILL) is
+  detected through its process sentinel the moment it exits, replaced,
+  and its shard redispatched;
+* a shard that fails :attr:`SupervisionPolicy.max_attempts` times is a
+  **poison shard**: it is quarantined out of the pool and runs inline
+  in the parent after the pool phase, so one pathological shard can
+  neither wedge the scan nor break the deterministic merge;
+* an overall ``deadline_at`` (the per-request deadline propagated from
+  ``serve.InferenceService.scan_scene(timeout_s=...)``) aborts the run
+  with :class:`~repro.detect.scan.ScanDeadlineError`, salvaging every
+  buffered reply and killing the stragglers so the pool stays clean.
+
+Redispatch hands the *same* :class:`~repro.scanpar.worker.ShardTask` to
+the replacement worker — same origin range, same batch boundaries, same
+result slab — so recovery is invisible to the merge: detections stay
+byte-identical to the fault-free sequential scan.  What recovery had to
+do is returned as a :class:`SupervisionReport`.
 
 Like ``repro.engine.compiled_for``, the per-worker model cache
 snapshots weights at first send: training a model afterwards requires a
@@ -45,29 +66,95 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from weakref import WeakKeyDictionary
 
+from ..detect.scan import ScanDeadlineError
 from .sharding import describe_shard
+from .worker import run_shard
 
-__all__ = ["WorkerPool", "WorkerError", "serialized_model", "get_pool",
-           "warm_pool", "shutdown_pools", "DEFAULT_DISPATCH_TIMEOUT_S"]
+__all__ = ["WorkerPool", "WorkerError", "SupervisionPolicy",
+           "SupervisionReport", "serialized_model", "get_pool",
+           "warm_pool", "shutdown_pools"]
 
 _SPAWN_HANDSHAKE_TIMEOUT_S = 120.0
 
-#: default run-level dispatch deadline.  PR 7 shipped ``run`` waiting
-#: with ``timeout=None`` — one wedged worker (alive but hung) stalled
-#: the parent forever.  Generous enough that no legitimate shard on any
-#: supported scene size approaches it; ``dispatch_timeout_s=None``
-#: restores the unbounded wait for callers who really want it.
-DEFAULT_DISPATCH_TIMEOUT_S = 300.0
-
-_UNSET = object()
-
 
 class WorkerError(RuntimeError):
-    """A shard failed inside a pool worker (shard context attached)."""
+    """A shard failed in the pool and again inline (shard context
+    attached), or a worker failed to start."""
+
+
+@dataclass(frozen=True)
+class SupervisionPolicy:
+    """Knobs for one :meth:`WorkerPool.run` dispatch.
+
+    shard_deadline_s : seconds an in-flight shard may run before its
+                       worker is presumed hung (killed + revived,
+                       shard redispatched); ``None`` disables per-shard
+                       deadlines (deaths are still recovered).
+    max_attempts     : workers a shard may fail on before it is
+                       quarantined as poison and runs inline.
+    probe_interval_s : upper bound on how long the dispatch loop sleeps
+                       between liveness checks — the wait also wakes on
+                       replies and worker-death sentinels, so this only
+                       bounds staleness, not latency.
+    """
+
+    shard_deadline_s: float | None = 120.0
+    max_attempts: int = 3
+    probe_interval_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
+            raise ValueError("shard_deadline_s must be positive or None")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.probe_interval_s <= 0:
+            raise ValueError("probe_interval_s must be positive")
+
+
+@dataclass
+class SupervisionReport:
+    """What supervision had to do to finish one dispatch.
+
+    ``max_overshoot_s`` is the worst gap between a shard's deadline and
+    the moment its hung worker was actually killed — the fleet chaos
+    gate bounds it, because it is exactly the "hung worker stalls
+    dispatch" failure the deadline exists to prevent.
+    """
+
+    shards_total: int = 0
+    deadline_kills: int = 0          # workers killed for missing a deadline
+    worker_deaths: int = 0           # workers that died mid-shard
+    workers_replaced: int = 0        # fresh processes spawned into slots
+    redispatches: int = 0            # shard retries on another worker
+    salvaged_replies: int = 0        # answers drained after death/deadline
+    poison_shards: list[int] = field(default_factory=list)
+    inline_shards: list[int] = field(default_factory=list)
+    attempts: dict[int, int] = field(default_factory=dict)
+    max_overshoot_s: float = 0.0
+
+    @property
+    def clean(self) -> bool:
+        """True when no fault handling fired at all."""
+        return (self.deadline_kills == 0 and self.worker_deaths == 0
+                and self.redispatches == 0 and not self.poison_shards)
+
+    def to_json(self) -> dict:
+        return {
+            "shards_total": self.shards_total,
+            "deadline_kills": self.deadline_kills,
+            "worker_deaths": self.worker_deaths,
+            "workers_replaced": self.workers_replaced,
+            "redispatches": self.redispatches,
+            "salvaged_replies": self.salvaged_replies,
+            "poison_shards": list(self.poison_shards),
+            "inline_shards": list(self.inline_shards),
+            "attempts": {str(k): v for k, v in sorted(self.attempts.items())},
+            "max_overshoot_s": self.max_overshoot_s,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +196,6 @@ def _pool_worker_main(conn) -> None:
     ``compiled_for``'s per-instance program cache (and therefore the
     warmed engine) hot between scans.
     """
-    from .worker import run_shard
-
     models: dict[str, object] = {}
     while True:
         try:
@@ -172,11 +257,6 @@ class _Worker:
     def pid(self) -> int:
         return self.proc.pid
 
-    def send_shard(self, task) -> None:
-        """Dispatch one shard task (the fleet supervisor's send primitive
-        — keeps the pipe message protocol inside this module)."""
-        self.conn.send(("shard", task))
-
 
 # ---------------------------------------------------------------------------
 # the pool
@@ -188,20 +268,11 @@ class WorkerPool:
     Parameters
     ----------
     n_workers    : worker processes to keep alive (the worker budget —
-                   dispatch round-robins shards over it, never spawning
-                   more processes than this)
+                   dispatch keeps one shard in flight per worker, never
+                   spawning more processes than this)
     start_method : multiprocessing start method; defaults to
                    :func:`~repro.scanpar.default_start_method` (which
                    prefers ``spawn`` once the caller runs threads)
-    dispatch_timeout_s : run-level deadline for :meth:`run` — a worker
-                   that has not answered for its queued shards by then
-                   is presumed wedged: it is killed, revived, and the
-                   run raises :class:`WorkerError` naming the hung
-                   shards instead of blocking the parent forever.
-                   ``None`` restores the pre-fleet unbounded wait.
-                   Per-shard (rather than per-run) deadlines with
-                   redispatch instead of failure live one level up, in
-                   ``repro.fleet.supervise``.
 
     Thread-safe: :meth:`run` and :meth:`ensure_model` serialize on an
     internal lock, so a service thread and a CLI scan can share one
@@ -210,17 +281,13 @@ class WorkerPool:
     context manager) for an orderly shutdown.
     """
 
-    def __init__(self, n_workers: int, *, start_method: str | None = None,
-                 dispatch_timeout_s: float | None = DEFAULT_DISPATCH_TIMEOUT_S,
-                 ) -> None:
+    def __init__(self, n_workers: int, *,
+                 start_method: str | None = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if dispatch_timeout_s is not None and dispatch_timeout_s <= 0:
-            raise ValueError("dispatch_timeout_s must be positive or None")
         from .parallel import default_start_method
 
         self.start_method = start_method or default_start_method()
-        self.dispatch_timeout_s = dispatch_timeout_s
         self._ctx = mp.get_context(self.start_method)
         self._lock = threading.RLock()
         self._closed = False
@@ -304,10 +371,10 @@ class WorkerPool:
         """Kill ``worker`` (if still alive) and spawn a replacement in
         its slot; returns the fresh worker.
 
-        The fleet supervisor's recovery primitive: a worker that missed
-        its shard deadline — alive but wedged — is removed with SIGKILL
-        rather than trusted to notice a politer signal, and the pool
-        keeps its budget.  Counted in ``stats["workers_killed"]``.
+        The recovery primitive for a worker that missed its shard
+        deadline: alive but wedged, it is removed with SIGKILL rather
+        than trusted to notice a politer signal, and the pool keeps its
+        budget.  Counted in ``stats["workers_killed"]``.
         """
         with self._lock:
             if self._closed:
@@ -380,176 +447,216 @@ class WorkerPool:
         Replacement workers get the full snapshots on their first
         ensure_model.
         """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            self._revive_locked()
+            return self._ship_locked(model, self._workers)
+
+    def _ship_locked(self, model, workers) -> str:
+        """Send ``workers`` the model bytes and autotune/schedule deltas
+        they lack (no revival: a dispatch in flight replaces its own
+        dead workers); returns the model's content hash."""
         from ..engine import sched
         from ..engine.autotune import snapshot
 
         data, model_hash = serialized_model(model)
         decided = snapshot()
         solved = sched.snapshot()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self._revive_locked()
-            for worker in self._workers:
-                if model_hash not in worker.sent:
-                    worker.conn.send(("model", model_hash, data))
-                    worker.sent.add(model_hash)
-                    self.stats["model_sends"] += 1
-                delta = {key: variant for key, variant in decided.items()
-                         if key not in worker.tuned}
-                if delta:
-                    worker.conn.send(("tune", delta))
-                    worker.tuned.update(delta)
-                sched_delta = {key: text for key, text in solved.items()
-                               if key not in worker.scheds}
-                if sched_delta:
-                    worker.conn.send(("sched", sched_delta))
-                    worker.scheds.update(sched_delta)
+        for worker in workers:
+            if model_hash not in worker.sent:
+                worker.conn.send(("model", model_hash, data))
+                worker.sent.add(model_hash)
+                self.stats["model_sends"] += 1
+            delta = {key: variant for key, variant in decided.items()
+                     if key not in worker.tuned}
+            if delta:
+                worker.conn.send(("tune", delta))
+                worker.tuned.update(delta)
+            sched_delta = {key: text for key, text in solved.items()
+                           if key not in worker.scheds}
+            if sched_delta:
+                worker.conn.send(("sched", sched_delta))
+                worker.scheds.update(sched_delta)
         return model_hash
 
-    @contextmanager
-    def exclusive(self):
-        """Hold the dispatch lock and yield the live worker list.
+    def run(self, tasks: list, model, *,
+            policy: SupervisionPolicy | None = None,
+            deadline_at: float | None = None,
+            ) -> tuple[list[dict], SupervisionReport]:
+        """Run shard tasks to completion under supervision.
 
-        The fleet supervisor (:mod:`repro.fleet.supervise`) schedules
-        shards itself — one in flight per worker, per-shard deadlines,
-        redispatch on death — and this is its doorway: dead workers are
-        revived first, then the caller has exclusive use of the worker
-        pipes until the block exits.  Reentrant with :meth:`run` and
-        :meth:`replace_worker` (the lock is an RLock).
+        Returns ``(payloads in task order, report)``.  ``model`` is the
+        object the tasks' ``model_hash`` names: replacement workers have
+        empty caches and get its bytes re-sent, and poison shards run
+        inline in the parent against it.  ``policy`` defaults to
+        ``SupervisionPolicy()``.  ``deadline_at`` is an absolute
+        ``time.monotonic()`` instant; past it the run aborts with
+        :class:`~repro.detect.scan.ScanDeadlineError`.  Worker failures
+        never raise — they redispatch — except a shard whose *inline*
+        fallback also fails, which raises :class:`WorkerError` (at that
+        point the failure is the model's, not a worker's).
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self._revive_locked()
-            self.stats["runs"] += 1
-            yield self._workers
-
-    def run(self, tasks: list, timeout_s: float | None = _UNSET) -> list[dict]:
-        """Run shard tasks on the pool; results return in task order.
-
-        Tasks are assigned round-robin over the worker budget — more
-        shards than workers queue up per worker instead of spawning
-        extra processes.  Worker exceptions (and worker deaths) raise
-        :class:`WorkerError` naming the shard index and origin range;
-        surviving workers finish their queued shards first, so the pool
-        stays reusable after a failure.
-
-        ``timeout_s`` overrides the pool's ``dispatch_timeout_s`` for
-        this run.  When the deadline expires with shards still
-        unanswered, the wedged workers are killed and revived (their
-        queued shards fail with a clear deadline message in the raised
-        :class:`WorkerError`) — the parent never hangs on a stuck
-        worker, and the pool stays usable.
-        """
+        if policy is None:
+            policy = SupervisionPolicy()
+        elif not isinstance(policy, SupervisionPolicy):
+            raise TypeError(
+                f"policy must be a SupervisionPolicy or None, got {policy!r}"
+            )
+        report = SupervisionReport(shards_total=len(tasks))
         if not tasks:
-            return []
-        if timeout_s is _UNSET:
-            timeout_s = self.dispatch_timeout_s
-        deadline = (time.monotonic() + timeout_s
-                    if timeout_s is not None else None)
+            return [], report
+        results: dict[int, dict] = {}
+        poisoned: list = []
+        attempts: dict[int, int] = {t.shard_index: 0 for t in tasks}
+
         with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            self._revive_locked()
+            self.ensure_model(model)  # also revives workers that died idle
             self.stats["runs"] += 1
             self.stats["tasks"] += len(tasks)
+            queue: deque = deque(tasks)
+            idle: deque = deque(self._workers)
+            in_flight: dict = {}      # conn -> [worker, task, deadline]
 
-            pending: dict[object, deque] = {}
-            by_conn: dict[object, _Worker] = {}
-            for i, task in enumerate(tasks):
-                worker = self._workers[i % len(self._workers)]
-                worker.conn.send(("shard", task))
-                pending.setdefault(worker.conn, deque()).append(task)
-                by_conn[worker.conn] = worker
+            def replace(worker, *, died: bool) -> None:
+                if died:
+                    report.worker_deaths += 1
+                    self.stats["workers_revived"] += 1
+                else:
+                    report.deadline_kills += 1
+                    self.stats["workers_killed"] += 1
+                fresh = self._replace_locked(worker)
+                report.workers_replaced += 1
+                self._ship_locked(model, [fresh])
+                idle.append(fresh)
 
-            results: dict[int, dict] = {}
-            failures: list[str] = []
+            def shard_failed(task) -> None:
+                if attempts[task.shard_index] >= policy.max_attempts:
+                    report.poison_shards.append(task.shard_index)
+                    poisoned.append(task)
+                else:
+                    report.redispatches += 1
+                    queue.append(task)
 
-            def fail_remaining(conn) -> None:
-                for task in pending.pop(conn):
-                    failures.append(
-                        f"{_task_context(task)} lost: worker "
-                        f"pid={by_conn[conn].proc.pid} died"
-                    )
-
-            def consume(conn) -> None:
-                """Receive one reply on ``conn`` (replies arrive in the
-                FIFO order the shards were sent)."""
+            def consume(conn, *, salvaged: bool = False) -> None:
+                """Receive the one in-flight reply on ``conn``."""
+                worker, task, _ = in_flight.pop(conn)
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
-                    fail_remaining(conn)
+                    replace(worker, died=True)
+                    shard_failed(task)
                     return
-                queue = pending[conn]
-                task = queue.popleft()
-                if not queue:
-                    del pending[conn]
-                kind, payload = reply[0], reply[2]
-                if kind == "ok":
-                    results[task.shard_index] = payload
+                if salvaged:
+                    report.salvaged_replies += 1
+                if reply[0] == "ok":
+                    results[task.shard_index] = reply[2]
                 else:
-                    failures.append(
-                        f"{_task_context(task)} failed in worker "
-                        f"pid={by_conn[conn].proc.pid}: {payload}\n{reply[3]}"
-                    )
+                    # worker is alive and sane — the shard itself blew
+                    # up — so it goes back to the idle set while the
+                    # shard retries elsewhere (or is poisoned)
+                    shard_failed(task)
+                idle.append(worker)
 
-            while pending:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._expire_locked(pending, by_conn, consume,
-                                            failures, timeout_s)
-                        break
-                sentinels = {by_conn[conn].proc.sentinel: conn
-                             for conn in pending}
+            def dispatch() -> None:
+                while queue and idle:
+                    worker = idle.popleft()
+                    task = queue.popleft()
+                    try:
+                        worker.conn.send(("shard", task))
+                    except (BrokenPipeError, OSError):
+                        queue.appendleft(task)
+                        replace(worker, died=True)
+                        continue
+                    attempts[task.shard_index] += 1
+                    due = (time.monotonic() + policy.shard_deadline_s
+                           if policy.shard_deadline_s is not None else None)
+                    in_flight[worker.conn] = [worker, task, due]
+
+            def abort() -> None:
+                # salvage everything already answered, then clear the
+                # stragglers out of the pool so the next run is clean
+                for conn in list(in_flight):
+                    if conn.poll(0):
+                        consume(conn, salvaged=True)
+                missing = sorted(set(attempts) - set(results))
+                for conn in list(in_flight):
+                    worker, _, _ = in_flight.pop(conn)
+                    replace(worker, died=False)
+                raise ScanDeadlineError(
+                    f"scan deadline expired with {len(missing)} of "
+                    f"{len(tasks)} shards unfinished "
+                    f"(missing shards {missing}); journaled tiles are "
+                    f"resumable"
+                )
+
+            while queue or in_flight:
+                dispatch()
+                if not in_flight:
+                    continue  # dispatch() replaced a worker; try again
+                now = time.monotonic()
+                if deadline_at is not None and now >= deadline_at:
+                    abort()
+                waits = [policy.probe_interval_s]
+                waits += [due - now for _, _, due in in_flight.values()
+                          if due is not None]
+                if deadline_at is not None:
+                    waits.append(deadline_at - now)
+                sentinels = {entry[0].proc.sentinel: conn
+                             for conn, entry in in_flight.items()}
                 ready = mp_connection.wait(
-                    list(pending) + list(sentinels), timeout=remaining
+                    list(in_flight) + list(sentinels),
+                    timeout=max(0.0, min(waits)),
                 )
                 for obj in ready:
-                    if obj in pending:
-                        consume(obj)
-                    else:
-                        conn = sentinels.get(obj)
-                        if conn is None or conn not in pending:
-                            continue
-                        # worker exited: drain buffered replies before
-                        # declaring the rest lost
-                        while conn in pending and conn.poll(0):
-                            consume(conn)
-                        if (conn in pending
-                                and not by_conn[conn].proc.is_alive()):
-                            fail_remaining(conn)
-            if failures:
-                raise WorkerError("; ".join(failures))
-            return [results[task.shard_index] for task in tasks]
+                    conn = obj if obj in in_flight else sentinels.get(obj)
+                    if conn is None or conn not in in_flight:
+                        continue
+                    worker = in_flight[conn][0]
+                    if conn.poll(0):
+                        consume(conn, salvaged=obj is not conn)
+                    elif not worker.proc.is_alive():
+                        # died mid-shard, nothing buffered: the shard's
+                        # answer is gone
+                        _, task, _ = in_flight.pop(conn)
+                        replace(worker, died=True)
+                        shard_failed(task)
+                # deadline sweep (also reached on a pure timeout wake)
+                now = time.monotonic()
+                for conn in list(in_flight):
+                    worker, task, due = in_flight[conn]
+                    if due is None or now < due:
+                        continue
+                    if conn.poll(0):     # answered just in time
+                        consume(conn, salvaged=True)
+                        continue
+                    in_flight.pop(conn)
+                    report.max_overshoot_s = max(report.max_overshoot_s,
+                                                 now - due)
+                    replace(worker, died=False)
+                    shard_failed(task)
 
-    def _expire_locked(self, pending, by_conn, consume, failures,
-                       timeout_s) -> None:
-        """Dispatch deadline hit: salvage buffered replies, then kill
-        and revive every worker still holding unanswered shards so the
-        next run starts with a clean pool (satellite fix for the
-        ``wait(..., timeout=None)`` hang)."""
-        for conn in list(pending):
-            while conn in pending and conn.poll(0):
-                consume(conn)
-        for conn in list(pending):
-            worker = by_conn[conn]
-            pid = worker.proc.pid
-            for task in pending.pop(conn):
-                failures.append(
-                    f"{_task_context(task)} missed the {timeout_s:.1f}s "
-                    f"dispatch deadline in worker pid={pid} "
-                    f"(worker killed and revived)"
-                )
-            self.stats["workers_killed"] += 1
-            self._replace_locked(worker)
+        # poison shards: inline sequential execution in the parent —
+        # same task, same slab, same journal path, so the merge cannot
+        # tell recovery happened
+        for task in poisoned:
+            report.inline_shards.append(task.shard_index)
+            cache = ({task.model_hash: model}
+                     if task.model_hash is not None else None)
+            try:
+                results[task.shard_index] = run_shard(task,
+                                                      model_cache=cache)
+            except Exception as exc:
+                context = describe_shard(task.shard_index, task.start,
+                                         task.stop)
+                raise WorkerError(
+                    f"{context} failed on {attempts[task.shard_index]} "
+                    f"workers and again inline: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
 
-
-def _task_context(task) -> str:
-    """Human-readable shard identity for error wrapping."""
-    return describe_shard(task.shard_index, task.start, task.stop)
+        report.attempts = dict(attempts)
+        return [results[task.shard_index] for task in tasks], report
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ class ServiceMetrics:
         self.invalid_inputs = Counter()
         self.scans = Counter()
         self.scan_tiles = Counter()
-        # fleet supervision telemetry (supervised bulk scans only)
+        # fleet supervision telemetry (bulk scans on a worker pool)
         self.scan_redispatches = Counter()
         self.scan_workers_killed = Counter()
         self.scan_worker_deaths = Counter()
@@ -140,8 +140,8 @@ class ServiceMetrics:
         self._lock = threading.Lock()
 
     def record_supervision(self, report) -> None:
-        """Fold one scan's :class:`~repro.fleet.SupervisionReport` into
-        the fleet counters (no-op for unsupervised scans)."""
+        """Fold one scan's :class:`~repro.scanpar.SupervisionReport` into
+        the fleet counters (no-op for scans that never ran on a pool)."""
         if report is None:
             return
         self.scan_redispatches.inc(report.redispatches)

@@ -32,6 +32,7 @@ import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from .batching import BatchPolicy
 from .breaker import OPEN, BreakerPolicy, CircuitBreaker
 from .cache import LRUCache, chip_key
 from .metrics import ServiceMetrics
+
+if TYPE_CHECKING:
+    from ..scanpar import SupervisionPolicy
 
 __all__ = [
     "ServeError",
@@ -423,7 +427,8 @@ class InferenceService:
             return self._scan_pool
 
     def scan_scene(self, scene, *, n_workers: int | str = 1,
-                   timeout_s: float | None = None, supervision=None,
+                   timeout_s: float | None = None,
+                   supervision: SupervisionPolicy | None = None,
                    **scan_kwargs):
         """Scan a whole scene with this service's model.
 
@@ -441,14 +446,15 @@ class InferenceService:
 
         ``timeout_s`` is this scan's per-request deadline, propagated
         all the way down: on the request path it bounds each submitted
-        tile, on the bulk path it becomes the fleet supervisor's run
-        deadline over the shard dispatch — either way the call raises
+        tile, on the bulk path it becomes the run deadline of the pool's
+        shard dispatch — either way the call raises
         :class:`~repro.detect.scan.ScanDeadlineError` rather than
         outliving its budget.  ``supervision`` (a
-        ``repro.fleet.SupervisionPolicy``, or ``True``) supervises bulk
-        dispatch — hung/dead pool workers are killed, revived, and
-        their shards redispatched — and its recovery counts land in the
-        ``scan_*`` fleet metrics.
+        :class:`~repro.scanpar.SupervisionPolicy`; ``None`` means the
+        default policy) tunes the bulk dispatch's supervision —
+        hung/dead pool workers are killed, revived, and their shards
+        redispatched — and its recovery counts land in the ``scan_*``
+        fleet metrics.
         """
         from ..detect.scan import ScanDeadlineError
         from ..detect.scan import scan_scene as scan
@@ -481,7 +487,8 @@ class InferenceService:
         return result
 
     def scan_many(self, jobs, *, workdir, n_workers: int | str = "auto",
-                  supervision=None, queue_path=None, **fleet_kwargs):
+                  supervision: SupervisionPolicy | None = None,
+                  queue_path=None, **fleet_kwargs):
         """Scan a batch of scenes as a durable fleet sweep.
 
         ``jobs`` maps job id -> ``WatershedConfig`` (or a payload the

@@ -1,4 +1,5 @@
-"""ShardSupervisor: deadlines, revival, redispatch, poison quarantine.
+"""Supervised shard dispatch: deadlines, revival, redispatch, poison
+quarantine.
 
 Every recovery test asserts the core contract — detections byte-identical
 to the fault-free sequential scan — because recovery that changes the
@@ -12,7 +13,7 @@ import pytest
 
 from repro.detect.scan import ScanDeadlineError, scan_origins
 from repro.faults import FaultyDetector, WorkerFaultPlan
-from repro.fleet import ShardSupervisor, SupervisionPolicy
+from repro.fleet import SupervisionPolicy
 from repro.scanpar import (
     SharedArray,
     ShardTask,
@@ -76,7 +77,7 @@ class TestCleanRuns:
         sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool:
             result = scan(model, scene, n_workers=2, pool=pool,
-                          supervision=True)
+                          supervision=SupervisionPolicy())
         report = result.supervision
         assert list(result) == list(sequential)
         assert result.coverage == sequential.coverage
@@ -84,10 +85,12 @@ class TestCleanRuns:
         assert report.shards_total >= 2
         assert all(n == 1 for n in report.attempts.values())
 
-    def test_unsupervised_scan_carries_no_report(self, model, scene):
+    def test_default_scan_carries_clean_report(self, model, scene):
+        # no policy given: the default policy supervises the dispatch
         with WorkerPool(2) as pool:
             result = scan(model, scene, n_workers=2, pool=pool)
-        assert getattr(result, "supervision", None) is None
+        assert result.supervision.clean
+        assert result.supervision.shards_total >= 2
 
     def test_report_json_roundtrip(self, model, scene):
         with WorkerPool(2) as pool:
@@ -138,13 +141,13 @@ class TestFaultRecovery:
         faulty = FaultyDetector(model, plan)
         with WorkerPool(2) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=True)
+                          supervision=SupervisionPolicy())
             report = result.supervision
             # re-warm: 2 initial model sends + 1 to the replacement
             assert pool.stats["model_sends"] == 3
             # the revived pool keeps working on a clean follow-up scan
             again = scan(faulty, scene, n_workers=2, pool=pool,
-                         supervision=True)
+                         supervision=SupervisionPolicy())
         after = set(os.listdir("/dev/shm"))
         leaked = {n for n in after - before if n.startswith("psm_")}
         assert leaked == set()
@@ -162,7 +165,7 @@ class TestFaultRecovery:
         faulty = FaultyDetector(model, plan)
         with WorkerPool(2) as pool:
             result = scan(faulty, scene, n_workers=2, pool=pool,
-                          supervision=True)
+                          supervision=SupervisionPolicy())
         report = result.supervision
         assert list(result) == list(sequential)
         assert report.redispatches >= 1
@@ -214,13 +217,13 @@ class TestDeadlines:
         with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
             model_hash = pool.ensure_model(model)
             tasks = make_tasks(scene, shared, model_hash)
-            supervisor = ShardSupervisor(
-                pool, model, SupervisionPolicy(shard_deadline_s=None))
+            policy = SupervisionPolicy(shard_deadline_s=None)
             with pytest.raises(ScanDeadlineError, match="shards unfinished"):
-                supervisor.run(tasks, deadline_at=time.monotonic() - 1.0)
+                pool.run(tasks, model, policy=policy,
+                         deadline_at=time.monotonic() - 1.0)
             # abort cleared the stragglers: the pool can scan again
-            payloads, report = supervisor.run(make_tasks(scene, shared,
-                                                         model_hash))
+            payloads, report = pool.run(make_tasks(scene, shared,
+                                                   model_hash), model)
             assert len(payloads) == len(tasks)
         sequential = scan(model, scene, n_workers=1)
         with WorkerPool(2) as pool2:

@@ -11,10 +11,12 @@ import pytest
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.detect.scan import scan_origins
+from repro.faults import FaultyDetector, WorkerFaultPlan
 from repro.geo import WatershedConfig, build_scene
 from repro.scanpar import (
     SharedArray,
     ShardTask,
+    SupervisionPolicy,
     WorkerError,
     WorkerPool,
     default_start_method,
@@ -80,24 +82,22 @@ class ExplodingModel:
         raise RuntimeError("boom")
 
 
-class HangingModel:
-    """Picklable model stand-in that wedges its worker forever."""
-
-    def eval(self):
-        return self
-
-    def __call__(self, *args, **kwargs):
-        time.sleep(3600)
-
-
 class SelfKillingModel:
-    """Picklable model stand-in that SIGKILLs its worker mid-shard."""
+    """Picklable model stand-in that SIGKILLs any pool worker running it
+    mid-shard; in the parent (the inline fallback) it only raises."""
 
     def eval(self):
         return self
 
     def __call__(self, *args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
+        if mp.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("no worker left to kill")
+
+
+def shm_slabs() -> set[str]:
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}
 
 
 class TestPoolReuse:
@@ -119,8 +119,10 @@ class TestPoolReuse:
         with WorkerPool(2) as pool:
             model_hash = pool.ensure_model(model)
             with SharedArray(scene.image) as shared:
-                first = pool.run(make_tasks(scene, shared, model_hash))
-                second = pool.run(make_tasks(scene, shared, model_hash))
+                first, _ = pool.run(make_tasks(scene, shared, model_hash),
+                                    model)
+                second, _ = pool.run(make_tasks(scene, shared, model_hash),
+                                     model)
         # ensure_model pre-populated the cache: neither run re-unpickles
         assert all(p["model_cached"] for p in first + second)
         # the warmed engine survives between runs: re-warming a cached
@@ -242,7 +244,8 @@ class TestScheduleSync:
             pool.ensure_model(model)  # ships the schedule delta
             assert all(set(sched.snapshot()) <= w.scheds
                        for w in pool._workers)
-            for payload in pool.run(tasks):
+            payloads, _ = pool.run(tasks, model)
+            for payload in payloads:
                 assert payload["sched_solves"] == 0
 
     def test_engine_scan_ships_parent_schedules(self, model, scene):
@@ -329,10 +332,12 @@ class TestStartMethod:
 
 class TestFailurePaths:
     def test_uncached_model_error_names_shard(self, scene):
+        # the worker cannot resolve the hash, so the shard is poisoned
+        # and runs inline against the given model, which fails too
         with WorkerPool(1) as pool, SharedArray(scene.image) as shared:
             tasks = make_tasks(scene, shared, "0" * 40, backend="eager")
             with pytest.raises(WorkerError, match=r"shard 0 \(origins"):
-                pool.run(tasks[:1])
+                pool.run(tasks[:1], ExplodingModel())
             # the failure must not poison the pool
             assert pool.worker_pids() and not pool.closed
 
@@ -363,49 +368,66 @@ class TestFailurePaths:
 
 
 class TestDispatchDeadline:
-    """Satellite fix: ``run`` must never block forever on a wedged worker."""
+    """Every pool dispatch is supervised: a wedged or killed worker
+    costs a redispatch, never a hung or failed scan."""
 
-    def test_dispatch_timeout_validation(self):
-        with pytest.raises(ValueError, match="dispatch_timeout_s"):
-            WorkerPool(1, dispatch_timeout_s=0.0)
+    def test_dispatch_timeout_validation(self, model):
+        # the shard deadline belongs to the policy; the pool takes no
+        # timeout of its own and no boolean policy
+        with pytest.raises(ValueError, match="shard_deadline_s"):
+            SupervisionPolicy(shard_deadline_s=0.0)
+        with pytest.raises(TypeError):
+            WorkerPool(1, dispatch_timeout_s=1.0)
+        with WorkerPool(1) as pool:
+            with pytest.raises(TypeError, match="SupervisionPolicy"):
+                pool.run([], model, policy=True)
 
-    def test_hung_workers_are_killed_and_revived(self, model, scene):
-        with WorkerPool(2) as pool, SharedArray(scene.image) as shared:
-            hang_hash = pool.ensure_model(HangingModel())
-            tasks = make_tasks(scene, shared, hang_hash, backend="eager")
+    def test_hung_workers_are_killed_and_revived(self, model, scene,
+                                                 tmp_path):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm to observe")
+        sequential = scan(model, scene, n_workers=1)
+        before = shm_slabs()
+        plan = WorkerFaultPlan(faults={0: "hang", 1: "hang"},
+                               fuse_dir=str(tmp_path / "fuses"))
+        policy = SupervisionPolicy(shard_deadline_s=1.0,
+                                   probe_interval_s=0.25)
+        with WorkerPool(2) as pool:
             t0 = time.monotonic()
-            with pytest.raises(WorkerError,
-                               match=r"missed the 1\.0s dispatch deadline"):
-                pool.run(tasks, timeout_s=1.0)
+            result = scan(FaultyDetector(model, plan), scene, n_workers=2,
+                          pool=pool, supervision=policy)
             assert time.monotonic() - t0 < 30.0
+            assert result.supervision.deadline_kills == 2
             assert pool.stats["workers_killed"] == 2
             # the pool came back with fresh workers and stays usable
-            model_hash = pool.ensure_model(model)
-            payloads = pool.run(make_tasks(scene, shared, model_hash,
-                                           backend="eager"))
-            assert len(payloads) == len(tasks)
+            again = scan(model, scene, n_workers=2, pool=pool)
+        assert shm_slabs() - before == set()
+        assert list(result) == list(again) == list(sequential)
 
-    def test_sigkill_mid_shard_raises_and_pool_recovers(self, model, scene):
-        # satellite 3: worker death mid-shard (not merely hung) must
-        # surface as WorkerError, revive on the next run, and re-warm
-        # the replacement's model cache
+    def test_sigkill_mid_shard_redispatches_and_pool_recovers(
+            self, model, scene, tmp_path):
+        # worker death mid-shard (not merely hung) is detected, the
+        # worker revived with the model re-sent, and the shard re-run
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm to observe")
         sequential = scan(model, scene, n_workers=1)
+        before = shm_slabs()
+        plan = WorkerFaultPlan(faults={0: "kill"},
+                               fuse_dir=str(tmp_path / "fuses"))
         with WorkerPool(2) as pool:
-            with pytest.raises(WorkerError, match="died"):
-                scan(SelfKillingModel(), scene, n_workers=2, pool=pool)
-            sends_before = pool.stats["model_sends"]
-            result = scan(model, scene, n_workers=2, pool=pool)
-            assert pool.stats["workers_revived"] >= 1
-            # revived workers hold no cached model: bytes were re-sent
-            assert pool.stats["model_sends"] > sends_before
+            result = scan(FaultyDetector(model, plan), scene, n_workers=2,
+                          pool=pool)
+            assert result.supervision.worker_deaths == 1
+            assert pool.stats["workers_revived"] == 1
+            # 2 initial model sends + 1 to the revived worker
+            assert pool.stats["model_sends"] == 3
+        assert shm_slabs() - before == set()
         assert list(result) == list(sequential)
 
     def test_sigkill_mid_shard_leaks_no_shm_slabs(self, scene):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to observe")
-        before = set(os.listdir("/dev/shm"))
-        with pytest.raises(WorkerError, match="died"):
+        before = shm_slabs()
+        with pytest.raises(WorkerError, match=r"shard \d+ \(origins"):
             scan(SelfKillingModel(), scene, n_workers=2, reuse_pool=False)
-        after = set(os.listdir("/dev/shm"))
-        leaked = {name for name in after - before if name.startswith("psm_")}
-        assert leaked == set()
+        assert shm_slabs() - before == set()

@@ -6,7 +6,7 @@ import pytest
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
 from repro.detect import SPPNetDetector
 from repro.detect.scan import ScanDeadlineError, scan_origins
-from repro.fleet import SupervisionReport
+from repro.fleet import SupervisionPolicy, SupervisionReport
 from repro.geo import WatershedConfig, build_scene
 from repro.serve import BatchPolicy, InferenceService
 from repro.serve.metrics import ServiceMetrics
@@ -84,7 +84,7 @@ class TestSupervisionMetrics:
         with InferenceService(model, BatchPolicy(max_batch=8),
                               cache_size=0) as service:
             result = service.scan_scene(scene, n_workers=2,
-                                        supervision=True,
+                                        supervision=SupervisionPolicy(),
                                         batch_size=4, **KWARGS)
             snap = service.metrics.snapshot()
         assert result.supervision is not None

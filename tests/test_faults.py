@@ -309,7 +309,7 @@ class TestTearTrailingLine:
         import json
 
         from repro.faults import tear_trailing_line
-        from repro.robust.journal import load_jsonl_repaired
+        from repro.applog import replay
 
         path = tmp_path / "log.jsonl"
         records = [{"tile": n, "conf": 0.5} for n in range(4)]
@@ -318,7 +318,7 @@ class TestTearTrailingLine:
         assert removed > 0
         assert not path.read_bytes().endswith(b"\n")
         # the repair path drops exactly the torn record
-        assert load_jsonl_repaired(path) == records[:3]
+        assert replay(path) == records[:3]
 
     def test_keep_fraction_validation(self, tmp_path):
         from repro.faults import tear_trailing_line
