@@ -3,13 +3,13 @@
 The paper's Table 2 latency story hinges on single-image inference cost
 for the 100x100x4 NAIP chip.  This benchmark compiles the default
 SPP-Net with :func:`repro.engine.compile` (traced graph, fused
-conv+relu+pool kernels, autotuned conv variants, planned buffer arena)
+conv+relu+pool kernels, rule-selected conv variants, planned buffer arena)
 and compares it against the eager ``predict`` path on exactly that
 shape, recording:
 
-* the autotuner's per-layer kernel choices plus a forced-variant A/B
-  sweep (``REPRO_CONV_VARIANT``) showing what each kernel family costs
-  end to end;
+* the per-layer kernel choices plus a report-only A/B of every conv
+  step bound as ``im2col`` and as ``im2col_tiled`` (``variant_ab_ms``),
+  the measurement behind the variant rule;
 * the kernel-category breakdown (sub-step phases are attributed
   honestly: im2col gathers count as memops, fused pooling as pooling);
 * the quantization accuracy gate on the Table 1 NAS winner — int8 and
@@ -28,7 +28,6 @@ Usage::
 Also collectable by pytest (``pytest benchmarks/bench_engine.py``).
 """
 
-import os
 import time
 
 import numpy as np
@@ -37,7 +36,8 @@ from repro.arch import SPPNetConfig, TABLE1_MODELS
 from repro.detect import SPPNetDetector, predict
 from repro.engine import compile as engine_compile
 from repro.engine import quantize_with_accuracy_gate
-from repro.engine.autotune import CONV_VARIANTS, ENV_VARIANT
+from repro.engine.autotune import CONV_VARIANTS
+from repro.engine.kernels import bind_conv, conv_out_hw, conv_scratch_elems
 
 from gates import bench_arg_parser, check, finish
 
@@ -102,22 +102,46 @@ def paired_rounds(run_a, run_b, repeats: int,
     return pairs
 
 
-def variant_ab(chip: np.ndarray, repeats: int) -> dict[str, float]:
-    """End-to-end latency with every conv forced to one kernel family."""
+def variant_ab(compiled, repeats: int,
+               batch: int = 1) -> dict[str, dict[str, float]]:
+    """Best-of ms of every conv step bound as each kernel variant.
+
+    Each step's geometry and packed weights come from ``compiled``; both
+    variants run on the same standalone buffers, interleaved per round.
+    Report-only: the engine binds what :func:`select_variant` says.
+    """
+    shapes = {s.name: s.out_shape for s in compiled.steps}
+    rng = np.random.default_rng(0)
     sweep = {}
-    saved = os.environ.get(ENV_VARIANT)
-    try:
+    for step in compiled.steps:
+        if step.kind not in ("conv", "conv_pool"):
+            continue
+        c, h, w = shapes[step.inputs[0]]
+        k, stride, pad = (int(step.attrs[a])
+                          for a in ("kernel", "stride", "padding"))
+        pool = step.kind == "conv_pool"
+        w_pack = compiled._packed[step.attrs["weights"]]["im2col"]
+        src = rng.standard_normal((batch, h, w, c)).astype(np.float32)
+        ho, wo = conv_out_hw(h, w, k, stride, pad)
+        out_hw = (ho // 2, wo // 2) if pool else (ho, wo)
+        out = np.empty((batch,) + out_hw + (w_pack.shape[1],),
+                       dtype=np.float32)
+        kernels = {}
         for variant in CONV_VARIANTS:
-            os.environ[ENV_VARIANT] = variant
-            model = SPPNetDetector(ARCH, seed=0)
-            model.eval()
-            compiled = engine_compile(model)
-            sweep[variant] = best_latency_ms(lambda: compiled(chip), repeats)
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_VARIANT, None)
-        else:
-            os.environ[ENV_VARIANT] = saved
+            scratch = np.empty(batch * conv_scratch_elems(
+                variant, batch=batch, h=h, w=w, c_in=c,
+                out_channels=w_pack.shape[1], kernel=k, stride=stride,
+                padding=pad, bias=bool(step.attrs["bias"]), pool=pool),
+                dtype=np.float32)
+            kernels[variant] = bind_conv(
+                variant, src=src, out=out, scratch=scratch, w_pack=w_pack,
+                k=k, stride=stride, pad=pad, relu=bool(step.attrs["relu"]),
+                pool=(2, 2) if pool else None)
+        rounds = {variant: [] for variant in CONV_VARIANTS}
+        for _ in range(3):
+            for variant, fn in kernels.items():
+                rounds[variant].append(best_latency_ms(fn, repeats // 3 + 1))
+        sweep[step.name] = {v: min(ms) for v, ms in rounds.items()}
     return sweep
 
 
@@ -205,7 +229,7 @@ def run_benchmark(repeats: int = 10, extend_budget_s: float = 60.0) -> dict:
         "max_abs_error_vs_eager": max_err,
         "fused_step_kinds": compiled.fused_step_kinds(),
         "kernel_choices": compiled.kernel_choices(batch=1),
-        "variant_ab_ms": variant_ab(chip, repeats),
+        "variant_ab_ms": variant_ab(compiled, repeats),
         "kernel_categories": profile["categories"],
         "category_shares": shares,
         "quantization": quant_gate_report(),
@@ -227,9 +251,9 @@ def payload_checks(payload: dict) -> list:
         # absolute error is gated but not tracked run over run.
         check("max_abs_error_vs_eager", payload["max_abs_error_vs_eager"],
               "<=", 1e-5, track=False),
-        # Variant-sensitive: the autotuner's winning kernel moves time
-        # between the conv and memops buckets, so the share is gated
-        # against its absolute ceiling but not drift-tracked.
+        # Variant-sensitive: the bound kernel moves time between the
+        # conv and memops buckets, so the share is gated against its
+        # absolute ceiling but not drift-tracked.
         check("conv_share_of_engine_time",
               payload["category_shares"].get("conv", 0.0),
               "<=", CONV_SHARE_CEILING, track=False),
@@ -281,8 +305,10 @@ def main() -> None:
           f"({payload['speedup']:.2f}x, max err "
           f"{payload['max_abs_error_vs_eager']:.1e})")
     print(f"kernels: {payload['kernel_choices']}")
-    for variant, ms in payload["variant_ab_ms"].items():
-        print(f"  forced {variant:<13s} {ms:6.2f} ms/chip")
+    for step, row in payload["variant_ab_ms"].items():
+        cells = "  ".join(f"{variant} {ms:6.3f}" for variant, ms in row.items())
+        print(f"  {step:<8s} {cells} ms  (bound: "
+              f"{payload['kernel_choices'][step]})")
     for name, row in payload["kernel_categories"].items():
         print(f"  {name:<12s} {row['ms'] / args.repeats:6.2f} ms  "
               f"{100 * row['share']:5.1f}%")

@@ -13,13 +13,12 @@ The eager path remains the default everywhere; callers opt in with
 ``backend="engine"`` (``repro.detect.predict`` / ``scan_scene``,
 ``repro.serve.InferenceService``, ``repro.nas.measure_latency_ms``).
 
-Convolutions dispatch over three kernel variants (plain im2col,
-memory-tiled implicit GEMM, Winograd F(2x2,3x3)); a build-time
-autotuner (:mod:`.autotune`) benchmarks the eligible variants per conv
-geometry and memoizes the winner.  Reduced-precision execution
-(float16 weight rounding, int8 per-channel GEMM) lives in
-:mod:`.quant` and is selected under the paper's accuracy constraint by
-:func:`quantize_with_accuracy_gate`.
+Convolutions bind one of two kernel variants (plain im2col or
+memory-tiled implicit GEMM), picked by a fixed rule over the conv
+geometry (:mod:`.autotune`) — no timing at build time.
+Reduced-precision execution (float16 weight rounding, int8 per-channel
+GEMM) lives in :mod:`.quant` and is selected under the paper's accuracy
+constraint by :func:`quantize_with_accuracy_gate`.
 
 Programs additionally pass through the IOS inter-operator scheduler
 (:mod:`.sched`): per-step kernel costs are measured on the bound
@@ -35,7 +34,7 @@ from .autotune import (
     ConvKey,
     autotune_choices,
     clear_autotune_cache,
-    eligible_variants,
+    select_variant,
 )
 from .compiled import CompiledModel, compile, compiled_for
 from .fusion import FusionError, Step, fuse_graph
@@ -64,7 +63,7 @@ __all__ = [
     "trace",
     "CONV_VARIANTS",
     "ConvKey",
-    "eligible_variants",
+    "select_variant",
     "autotune_choices",
     "clear_autotune_cache",
     "QUANT_MODES",

@@ -1,57 +1,55 @@
-"""Build-time kernel autotuner for the convolution variants.
+"""Conv kernel variant selection: a fixed rule over the conv geometry.
 
-The engine carries three interchangeable conv kernels (``im2col``,
-``im2col_tiled``, ``winograd23`` — see :func:`.kernels.bind_conv`), and
-which one wins depends on the conv geometry, the batch, and the BLAS on
-the host: a 4-channel first layer is gather-bound (tiling wins), a
-deep 3x3 layer is MAC-bound (Winograd wins), a 1x1 or strided conv only
-admits the GEMM forms.  Rather than hardcode a heuristic, each program
-build benchmarks the eligible variants once per :class:`ConvKey` —
-(batch, geometry, dtype, quantization mode) — on standalone buffers and
-records the winner in a process-wide cache, so every later program with
-the same key (other batch programs, scan workers, other models sharing a
-layer shape) binds the chosen kernel with zero re-measurement.
+The engine carries two interchangeable conv kernels (``im2col`` and
+``im2col_tiled`` — see :func:`.kernels.bind_conv`).  Which one a conv
+binds is a pure function of its :class:`ConvKey`:
 
-Determinism: the first measurement for a key is sticky for the process
-lifetime, ties break toward the first-listed variant, and
-``REPRO_CONV_VARIANT`` force-overrides the choice (where eligible)
-without touching the cache — that is what the per-variant benchmark A/B
-and the equivalence tests use.
+* ``im2col_tiled`` when the layer runs in float (not int8) and its
+  im2col row is at most :data:`TILED_MAX_WIDTH` wide
+  (``in_channels * kernel**2``).  Those are the thin-GEMM first layers
+  (4 input bands, k <= 3) whose time goes to gathering columns, not to
+  arithmetic; row-block tiling keeps the columns cache-resident.
+* ``im2col`` everywhere else.  int8 execution is pinned to it: the
+  quantized GEMM quantizes the gathered columns once, and tiling would
+  re-quantize per block.
+
+``docs/engine.md`` holds the paired per-layer measurements behind the
+threshold.  Because the rule reads only the geometry, every process —
+parent, scan worker, service replica — binds the same kernels without
+measuring anything or exchanging state, so float rounding (and with it
+the parallel scan's byte-identity) cannot depend on timing noise.
+
+:func:`choices` records every geometry the rule has been asked about in
+this process; the benchmark counts it to prove that no program is bound
+inside a timed window.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from dataclasses import dataclass
-
-from .kernels import conv_out_hw
 
 __all__ = [
     "CONV_VARIANTS",
-    "ENV_VARIANT",
+    "TILED_MAX_WIDTH",
     "ConvKey",
-    "eligible_variants",
-    "choose_variant",
+    "select_variant",
     "choices",
-    "snapshot",
-    "seed",
     "clear_cache",
     "autotune_choices",
     "clear_autotune_cache",
 ]
 
-#: Preference-ordered kernel variants (ties break toward the front).
-CONV_VARIANTS = ("im2col", "im2col_tiled", "winograd23")
+#: Every conv kernel variant :func:`.kernels.bind_conv` accepts.
+CONV_VARIANTS = ("im2col", "im2col_tiled")
 
-#: Environment override: force this variant wherever it is eligible.
-ENV_VARIANT = "REPRO_CONV_VARIANT"
+#: Widest im2col row (``in_channels * kernel**2``) bound to the tiled kernel.
+TILED_MAX_WIDTH = 64
 
 
 @dataclass(frozen=True)
 class ConvKey:
-    """Everything the variant choice may legally depend on."""
+    """The geometry of one bound conv step."""
 
     batch: int
     height: int
@@ -67,130 +65,28 @@ class ConvKey:
 
 
 _lock = threading.Lock()
-_cache: dict[ConvKey, str] = {}
-_timings: dict[ConvKey, dict[str, float]] = {}
+_chosen: dict[ConvKey, str] = {}
 
 
-def eligible_variants(key: ConvKey) -> tuple[str, ...]:
-    """Variants that produce correct results for ``key``.
-
-    int8 execution is pinned to the plain im2col kernel: the quantized
-    GEMM quantizes the gathered columns, and the Winograd input
-    transform would have to run on already-quantized tiles (compounding
-    the rounding) while tiling would re-quantize per block.  Winograd
-    additionally requires a 3x3 stride-1 convolution.
-    """
-    if key.mode == "int8":
-        return ("im2col",)
-    variants = ["im2col", "im2col_tiled"]
-    ho, wo = conv_out_hw(key.height, key.width, key.kernel, key.stride,
-                         key.padding)
-    if key.kernel == 3 and key.stride == 1 and ho >= 1 and wo >= 1:
-        variants.append("winograd23")
-    return tuple(variants)
-
-
-def _best_of(repeats: int):
-    def bench(fn) -> float:
-        fn(None)  # warm: first call touches cold buffers
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(None)
-            best = min(best, time.perf_counter() - t0)
-        return best
-    return bench
-
-
-def choose_variant(key: ConvKey, make_kernel, *, repeats: int = 2,
-                   rounds: int = 3, bench=None,
-                   cache: dict | None = None) -> str:
-    """Pick (and memoize) the fastest eligible variant for ``key``.
-
-    ``make_kernel(variant)`` must return a bound ``fn(acc=None)`` kernel
-    over standalone benchmark buffers; it is only called on a cache
-    miss.  Probing interleaves ``rounds`` bench passes across the
-    variants and keeps each variant's best pass — an ambient load spike
-    degrades every variant's sample in the pass it lands on instead of
-    silently flipping a near-tie against whichever variant it hit.
-    ``bench`` (callable ``fn -> seconds``) and ``cache`` are injectable
-    so tests can rig timings and observe memoization without real
-    clocks.
-    """
-    variants = eligible_variants(key)
-    forced = os.environ.get(ENV_VARIANT, "")
-    if forced:
-        if forced not in CONV_VARIANTS:
-            raise ValueError(
-                f"{ENV_VARIANT}={forced!r}: unknown variant, expected one "
-                f"of {CONV_VARIANTS}")
-        if forced in variants:
-            return forced  # transient override, never cached
-    if len(variants) == 1:
-        return variants[0]
-    store = _cache if cache is None else cache
+def select_variant(key: ConvKey) -> str:
+    """The conv kernel variant ``key`` binds (and record the decision)."""
+    tiled = (key.mode != "int8"
+             and key.in_channels * key.kernel ** 2 <= TILED_MAX_WIDTH)
+    variant = "im2col_tiled" if tiled else "im2col"
     with _lock:
-        if key in store:
-            return store[key]
-    bench = bench or _best_of(repeats)
-    kernels = {v: make_kernel(v) for v in variants}
-    timings = {v: bench(kernels[v]) for v in variants}
-    for _ in range(rounds - 1):
-        for v in variants:
-            timings[v] = min(timings[v], bench(kernels[v]))
-    choice = min(variants, key=timings.__getitem__)
+        _chosen[key] = variant
+    return variant
+
+
+def choices() -> dict[ConvKey, str]:
+    """Every conv geometry bound in this process and its variant."""
     with _lock:
-        # first writer wins so concurrent builders agree forever after
-        choice = store.setdefault(key, choice)
-        _timings.setdefault(key, timings)
-    return choice
-
-
-def choices() -> dict[ConvKey, dict]:
-    """Snapshot of every autotuned decision (with raw timings, seconds)."""
-    with _lock:
-        return {
-            key: {"variant": variant,
-                  "timings": dict(_timings.get(key, {}))}
-            for key, variant in _cache.items()
-        }
-
-
-def snapshot() -> dict[ConvKey, str]:
-    """Picklable copy of the sticky choices (variant only, no timings).
-
-    What the scan worker pool ships alongside a model: measured timings
-    differ between the parent and a worker process, so a worker left to
-    tune on its own can legally flip a near-tie the other way — and a
-    Winograd-vs-GEMM flip changes float rounding, breaking the parallel
-    scan's byte-identity contract.  Seeding workers with the parent's
-    snapshot pins every process to one set of kernels.
-    """
-    with _lock:
-        return dict(_cache)
-
-
-def seed(decided: dict[ConvKey, str]) -> None:
-    """Adopt variant choices decided in another process.
-
-    Entries land through ``setdefault`` — a key this process already
-    measured keeps its sticky choice, preserving the first-writer-wins
-    determinism guarantee within the process.
-    """
-    for key, variant in decided.items():
-        if variant not in CONV_VARIANTS:
-            raise ValueError(
-                f"unknown conv variant {variant!r} for {key}, expected one "
-                f"of {CONV_VARIANTS}")
-    with _lock:
-        for key, variant in decided.items():
-            _cache.setdefault(key, variant)
+        return dict(_chosen)
 
 
 def clear_cache() -> None:
     with _lock:
-        _cache.clear()
-        _timings.clear()
+        _chosen.clear()
 
 
 # Package-level aliases: the bare names read poorly outside this module.

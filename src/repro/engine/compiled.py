@@ -3,11 +3,12 @@
 ``compile(model)`` snapshots the model once — trace, fuse, pack weights
 into GEMM-ready layouts — and returns a :class:`CompiledModel`.  Each
 distinct runtime shape ``(batch, H, W)`` then gets a *program*: arena
-buffers sized by the memory planner, array views bound into them, and a
+slots laid out by the memory planner, array views bound into them, and a
 flat list of zero-argument kernel closures.  Steady-state inference is
 just ``for fn in fns: fn()`` over NumPy ``out=`` kernels — no autograd
 tape, no per-op allocation, no layout shuffling (activations stay NHWC
-between convolutions).
+between convolutions).  All programs of one model share a single arena
+buffer, sized for the largest.
 
 Programs are cached per shape, so a sliding-window scan pays the bind
 cost once for its window shape and once for the final ragged batch.
@@ -21,11 +22,10 @@ those measured costs, and — only if the solver found profitable
 inter-operator parallelism — rebinds the program with a stage-barrier
 arena plan and a staged executor that runs concurrent groups on a
 shared thread pool.  Solved schedules are sticky per (program, batch,
-shape, quant, workers) exactly like autotune decisions, so the
-measure+solve cost is paid once per process (or never, when seeded from
-a scan-pool parent).
+shape, quant, workers), so the measure+solve cost is paid once per
+process (or never, when seeded from a scan-pool parent).
 
-Execution is serialized with an internal lock: programs own mutable
+Execution is serialized with an internal lock: programs share mutable
 arena state, so one ``CompiledModel`` must not run concurrently with
 itself.  Multi-worker serving should compile one model per worker.
 (The staged executor's intra-program group threads are internal and do
@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from dataclasses import replace
 
 import numpy as np
 
 from . import sched as _sched
-from .autotune import ConvKey, choose_variant
+from .autotune import ConvKey, select_variant
 from .fusion import Step, fuse_graph
 from .kernels import (
     adaptive_bins,
@@ -59,7 +58,6 @@ from .kernels import (
     shifted_views,
     sigmoid_into,
     softmax_rows,
-    winograd23_pack_weight,
 )
 from .plan import MemoryPlan, plan_memory
 from .quant import (
@@ -123,46 +121,20 @@ def _conv_step_params(step: Step, shapes: dict) -> dict:
 
 
 def _select_conv_variant(step: Step, shapes: dict, batch: int,
-                         dtype: np.dtype, packed: dict,
+                         dtype: np.dtype,
                          quant: QuantPolicy) -> tuple[str, int]:
-    """Autotuned kernel variant and its per-sample scratch size."""
+    """The rule's kernel variant and its per-sample scratch size."""
     geo = _conv_step_params(step, shapes)
-    key = ConvKey(batch=batch, height=geo["h"], width=geo["w"],
-                  in_channels=geo["c_in"], out_channels=geo["out_channels"],
-                  kernel=geo["kernel"], stride=geo["stride"],
-                  padding=geo["padding"], pool=geo["pool"],
-                  dtype=str(np.dtype(dtype)), mode=quant.mode)
-    pack = packed[step.attrs["weights"]]
-    pool = (2, 2) if geo["pool"] else None
-    relu = bool(step.attrs["relu"])
-
-    def make_kernel(variant: str):
-        # Standalone benchmark buffers: the arena does not exist yet
-        # (its sizing depends on the choice made here).
-        rng = np.random.default_rng(0)
-        src = rng.standard_normal(
-            (batch, geo["h"], geo["w"], geo["c_in"])).astype(dtype)
-        out = np.empty(_nhwc(step.out_shape, batch), dtype=dtype)
-        scratch = np.empty(
-            batch * conv_scratch_elems(
-                variant, batch=batch, h=geo["h"], w=geo["w"],
-                c_in=geo["c_in"], out_channels=geo["out_channels"],
-                kernel=geo["kernel"], stride=geo["stride"],
-                padding=geo["padding"], bias=geo["bias"], pool=geo["pool"]),
-            dtype=dtype)
-        return bind_conv(
-            variant, src=src, out=out, scratch=scratch, k=geo["kernel"],
-            stride=geo["stride"], pad=geo["padding"], relu=relu, pool=pool,
-            w_pack=pack.get("im2col"),
-            wg_pack=(pack.get("wg"), pack.get("bias")))
-
-    variant = choose_variant(key, make_kernel)
-    bias_col = geo["bias"] and quant.mode != "int8"
+    variant = select_variant(ConvKey(
+        batch=batch, height=geo["h"], width=geo["w"],
+        in_channels=geo["c_in"], out_channels=geo["out_channels"],
+        kernel=geo["kernel"], stride=geo["stride"], padding=geo["padding"],
+        pool=geo["pool"], dtype=str(np.dtype(dtype)), mode=quant.mode))
     scratch_elems = conv_scratch_elems(
         variant, batch=batch, h=geo["h"], w=geo["w"], c_in=geo["c_in"],
         out_channels=geo["out_channels"], kernel=geo["kernel"],
-        stride=geo["stride"], padding=geo["padding"], bias=bias_col,
-        pool=geo["pool"])
+        stride=geo["stride"], padding=geo["padding"],
+        bias=geo["bias"] and quant.mode != "int8", pool=geo["pool"])
     return variant, scratch_elems
 
 
@@ -210,7 +182,7 @@ class _Program:
 
     def __init__(self, steps: list[Step], outputs: tuple[str, ...],
                  batch: int, dtype: np.dtype, packed: dict,
-                 quant: QuantPolicy, act_scales: dict,
+                 quant: QuantPolicy, act_scales: dict, arena,
                  schedule=None) -> None:
         self.quant = quant
         self.schedule = schedule
@@ -218,15 +190,15 @@ class _Program:
         shapes = {s.name: s.out_shape for s in steps}
 
         # Resolve the kernel variant per conv before planning: each
-        # variant has its own scratch footprint (im2col columns vs block
-        # buffers vs Winograd transform planes), and the plan must
-        # reserve what the bound kernel will actually touch.
+        # variant has its own scratch footprint (full im2col columns vs
+        # row-block buffers), and the plan must reserve what the bound
+        # kernel will actually touch.
         self.kernel_choices: dict[str, str] = {}
         resolved: list[Step] = []
         for step in steps:
             if step.kind in ("conv", "conv_pool"):
                 variant, scratch = _select_conv_variant(
-                    step, shapes, batch, dtype, packed, quant)
+                    step, shapes, batch, dtype, quant)
                 self.kernel_choices[step.name] = variant
                 step = replace(step, scratch_elems=scratch)
             elif step.kind == "linear" and quant.mode == "int8":
@@ -242,8 +214,15 @@ class _Program:
             steps, outputs, batch, itemsize=dtype.itemsize, stages=stages
         )
         self.batch = batch
+        # Slots are cache-line-aligned slices of the model's shared
+        # arena (``arena(elems)`` returns a buffer of at least ``elems``).
+        align = max(1, 64 // dtype.itemsize)
         elems = [size // dtype.itemsize for size in self.plan.slot_sizes]
-        self._slots = [np.empty(n, dtype=dtype) for n in elems]
+        offsets = [0]
+        for n in elems:
+            offsets.append(offsets[-1] + -(-n // align) * align)
+        backing = arena(offsets[-1])
+        self._slots = [backing[o:o + n] for o, n in zip(offsets, elems)]
 
         views: dict[str, np.ndarray] = {}
         for step in steps:
@@ -330,8 +309,7 @@ class _Program:
             return bind_conv(
                 self.kernel_choices[step.name], src=src, out=out,
                 scratch=scratch, k=k, stride=stride, pad=pad, relu=relu,
-                pool=pool, w_pack=pack.get("im2col"),
-                wg_pack=(pack.get("wg"), pack.get("bias")))
+                pool=pool, w_pack=pack["im2col"])
 
         if kind == "linear":
             pack = packed[step.attrs["weights"]]
@@ -580,11 +558,12 @@ class CompiledModel:
             self.input_shape: self.steps
         }
         self._programs: dict[tuple[int, ...], _Program] = {}
+        self._arena = np.empty(0, dtype=self.dtype)
         self._lock = threading.Lock()
 
     # -- compile-time ----------------------------------------------------
     def _pack(self, traced: Traced) -> dict[str, dict]:
-        """Snapshot weights into per-variant GEMM layouts (taken once).
+        """Snapshot weights into GEMM-ready layouts (taken once).
 
         Under ``quant="float16"`` every parameter is rounded through
         half precision first; under ``quant="int8"`` the GEMM operands
@@ -604,15 +583,13 @@ class CompiledModel:
                 np.ascontiguousarray(bias, dtype=self.dtype)
             if weight.ndim == 4:
                 # conv bias rides inside the packed matrix (ones-column
-                # trick); the separate vector serves the winograd /
-                # quantized / fused-pool epilogues
+                # trick); the separate vector serves the quantized
+                # epilogue
                 entry = {
                     "kind": "conv",
                     "im2col": pack_conv_weight(weight, bias, self.dtype),
                     "bias": b_vec,
                 }
-                if weight.shape[2] == weight.shape[3] == 3 and not int8:
-                    entry["wg"] = winograd23_pack_weight(weight, self.dtype)
                 if int8:
                     rows = weight.transpose(2, 3, 1, 0).reshape(
                         -1, weight.shape[0])
@@ -655,20 +632,34 @@ class CompiledModel:
         if prog is None:
             steps = self._steps_for(sample_shape)
             prog = _Program(steps, self.outputs, batch, self.dtype,
-                            self._packed, self.quant, self._act_scales)
+                            self._packed, self.quant, self._act_scales,
+                            self._arena_of)
             if self.schedule_enabled and _sched.scheduling_enabled():
                 plan = self._resolve_schedule(steps, batch, sample_shape,
                                               prog)
                 if plan is not None and plan.max_parallelism > 1:
                     # Rebind with the stage-barrier arena plan and the
-                    # staged executor.  Conv variants are sticky in the
-                    # autotune cache, so the rebind reuses the first
-                    # build's decisions (and its kernels) verbatim.
+                    # staged executor.  The conv-variant rule reads only
+                    # the geometry, so the rebind binds the same kernels.
                     prog = _Program(steps, self.outputs, batch, self.dtype,
                                     self._packed, self.quant,
-                                    self._act_scales, schedule=plan)
+                                    self._act_scales, self._arena_of,
+                                    schedule=plan)
             self._programs[key] = prog
         return prog
+
+    def _arena_of(self, elems: int) -> np.ndarray:
+        """The arena every program binds into, grown to ``elems``.
+
+        Programs run one at a time under the model lock and copy their
+        outputs out, so they can all share one buffer: the model holds
+        its largest program's arena instead of the sum over every batch
+        size it has bound.  A program bound before the arena grew keeps
+        the smaller buffer it was bound to alive.
+        """
+        if self._arena.size < elems:
+            self._arena = np.empty(elems, dtype=self.dtype)
+        return self._arena
 
     def _resolve_schedule(self, steps: list[Step], batch: int,
                           sample_shape: tuple[int, ...], prog: _Program):
@@ -787,7 +778,7 @@ class CompiledModel:
     def memory_plan(self, batch: int = 1,
                     sample_shape: tuple[int, ...] | None = None) -> MemoryPlan:
         """The arena assignment the executed program holds at ``batch``
-        (scratch already re-sized for the autotuned kernel variants)."""
+        (scratch already sized for the bound kernel variants)."""
         with self._lock:
             return self._program_for(
                 batch, tuple(sample_shape or self.input_shape)).plan
@@ -795,9 +786,8 @@ class CompiledModel:
     def kernel_choices(self, batch: int = 1,
                        sample_shape: tuple[int, ...] | None = None
                        ) -> dict[str, str]:
-        """The autotuner's conv-variant decision per conv step for one
-        (batch, shape) program — recorded in the program cache, so this
-        never re-measures."""
+        """The conv-variant rule's choice per conv step for one
+        (batch, shape) program (binds the program if it is not cached)."""
         with self._lock:
             prog = self._program_for(
                 batch, tuple(sample_shape or self.input_shape))
@@ -901,7 +891,24 @@ def compile(model, input_shape: tuple[int, ...] | None = None,
                          schedule=schedule)
 
 
-_COMPILED_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class _EngineSlot:
+    """A model's cached engine, stored on the model itself.
+
+    The engine refers back to its model (it re-traces for new input
+    shapes), so a cache held anywhere else would keep every compiled
+    model alive for the life of the process.  Kept on the model, the
+    pair is one reference cycle that the garbage collector frees with
+    the model.  Pickling or copying the model carries an empty slot,
+    never the engine.
+    """
+
+    __slots__ = ("compiled",)
+
+    def __init__(self) -> None:
+        self.compiled: CompiledModel | None = None
+
+    def __reduce__(self):
+        return (_EngineSlot, ())
 
 
 def compiled_for(model, dtype=np.float32, quant="float32",
@@ -911,14 +918,19 @@ def compiled_for(model, dtype=np.float32, quant="float32",
 
     The compiled program snapshots weights at first use; training the
     model afterwards requires a fresh :func:`compile` (or a new model
-    object) to pick up the new parameters.
+    object) to pick up the new parameters.  The cached engine — about
+    100 MB of arena and packed weights for a large NAS candidate — is
+    freed together with the model.
     """
     policy = QuantPolicy.coerce(quant)
-    compiled = _COMPILED_CACHE.get(model)
+    # vars(), not getattr: a delegating wrapper must not find the slot
+    # of the model it wraps
+    slot = vars(model).setdefault("_engine_slot", _EngineSlot())
+    compiled = slot.compiled
     if (compiled is None or compiled.dtype != np.dtype(dtype)
             or compiled.quant.mode != policy.mode
             or compiled.schedule_enabled != bool(schedule)):
         compiled = compile(model, dtype=dtype, quant=policy,
                            schedule=schedule)
-        _COMPILED_CACHE[model] = compiled
+        slot.compiled = compiled
     return compiled

@@ -21,10 +21,9 @@ module closes the ROADMAP's "IOS-scheduled engine execution" loop:
 
 Schedules are sticky per :class:`ScheduleKey` — (program structure,
 batch, shape, dtype, quant mode, worker budget) — for the process
-lifetime, exactly like the conv-variant autotuner: the first solve wins,
-and :func:`snapshot` / :func:`seed` ship solved schedules (as
-``Schedule.to_json`` payloads, hash-verified on adoption) to scan pool
-workers so they never re-measure or re-solve.
+lifetime: the first solve wins, and :func:`snapshot` / :func:`seed`
+ship solved schedules (as ``Schedule.to_json`` payloads, hash-verified
+on adoption) to scan pool workers so they never re-measure or re-solve.
 
 Safety properties:
 
@@ -235,8 +234,8 @@ def snapshot() -> dict[ScheduleKey, str]:
 
     What the scan worker pool ships alongside a model: a worker that
     adopted the parent's schedules never re-measures step costs or
-    re-runs the DP, so its warmup is as cheap as an autotune-seeded
-    compile — and the whole pool provably executes one plan (the JSON
+    re-runs the DP, so its warmup costs only the program binds — and
+    the whole pool provably executes one plan (the JSON
     carries ``schedule_hash``, verified on adoption).
     """
     with _lock:

@@ -300,14 +300,12 @@ def parallel_scan_scene(
                                          start_method=start_method)
     try:
         if backend == "engine":
-            # Tune before shipping: compile (and autotune) every
-            # micro-batch shape this scan runs in the PARENT first, so
-            # pool.run ships the parent's conv-variant choices and
-            # no worker re-measures a near-tie the other way — a
-            # Winograd-vs-GEMM flip changes float rounding, and the
-            # byte-identity contract needs every process binding the
-            # same kernels.  compiled_for caches per model instance, so
-            # repeat scans pay nothing here.
+            # Solve before shipping: build every micro-batch shape this
+            # scan runs in the PARENT first, so pool.run ships the
+            # parent's solved IOS schedules and no worker re-measures
+            # step costs or re-runs the DP during its warmup.
+            # compiled_for caches per model instance, so repeat scans
+            # pay nothing here.
             if robust:
                 sizes = {1}
             else:

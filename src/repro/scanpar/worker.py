@@ -80,21 +80,30 @@ def _resolve_model(task: ShardTask, cache: dict | None) -> tuple[object, bool]:
 
 
 def _warm_engine(model, channels: int, window: int,
-                 batch_sizes: list[int]) -> tuple[float, int]:
-    """Pre-build the engine programs this shard will execute; returns
-    ``(warmup milliseconds, IOS DP solves paid)`` (compile paid once per
-    worker process — and, with a persistent pool, once per model
-    *lifetime*, because warmup of an already-cached program costs
-    nothing).  The solve count is the pool's schedule-shipping health
-    signal: a worker seeded with the parent's schedules warms with zero
-    solves."""
+                 batch_sizes: list[int]) -> dict:
+    """Pre-build the engine programs this shard will execute.
+
+    Returns the payload fields ``warmup_ms``, ``sched_solves`` (IOS DP
+    solves paid) and ``kernel_choices`` (``{batch: {conv step:
+    variant}}`` of the warmed programs).  Compile is paid once per worker
+    process — and, with a persistent pool, once per model *lifetime*,
+    because warmup of an already-cached program costs nothing.  The
+    solve count is the pool's schedule-shipping health signal: a worker
+    seeded with the parent's schedules warms with zero solves."""
     from ..engine import compiled_for, sched
 
     model.eval()
     compiled = compiled_for(model)
+    shape = (channels, window, window)
     solves_before = sched.stats()["solves"]
-    warmup_ms = compiled.warmup(batch_sizes, (channels, window, window))
-    return warmup_ms, sched.stats()["solves"] - solves_before
+    warmup_ms = compiled.warmup(batch_sizes, shape)
+    return {"warmup_ms": warmup_ms,
+            "sched_solves": sched.stats()["solves"] - solves_before,
+            "kernel_choices": {b: compiled.kernel_choices(b, shape)
+                               for b in batch_sizes}}
+
+
+_NOT_WARMED = {"warmup_ms": 0.0, "sched_solves": 0, "kernel_choices": {}}
 
 
 def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
@@ -119,10 +128,9 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
 
         if task.robust:
             # per-tile isolation: every batch is one tile, warm that shape
-            warmup_ms, sched_solves = 0.0, 0
+            warm = _NOT_WARMED
             if task.backend == "engine":
-                warmup_ms, sched_solves = _warm_engine(
-                    model, channels, task.window, [1])
+                warm = _warm_engine(model, channels, task.window, [1])
             run, guarded = _make_tile_runner(model, task.backend)
             journal = None
             if task.journal_path is not None:
@@ -143,28 +151,25 @@ def run_shard(task: ShardTask, model_cache: dict | None = None) -> dict:
                 "records": records,
                 "fallbacks": (dict(guarded.fallback_by_reason)
                               if guarded is not None else {}),
-                "warmup_ms": warmup_ms,
                 "model_cached": model_cached,
-                "sched_solves": sched_solves,
+                **warm,
             }
 
-        warmup_ms, sched_solves = 0.0, 0
+        warm = _NOT_WARMED
         if task.backend == "engine":
             sizes = {min(task.batch_size, len(span))}
             ragged = len(span) % task.batch_size
             if ragged:
                 sizes.add(ragged)
-            warmup_ms, sched_solves = _warm_engine(
-                model, channels, task.window, sorted(sizes))
+            warm = _warm_engine(model, channels, task.window, sorted(sizes))
         from ..detect.predict import predict
 
         source = TileSource(image, task.window, batch_size=task.batch_size)
         payload = {
             "shard": task.shard_index,
-            "warmup_ms": warmup_ms,
             "model_cached": model_cached,
-            "sched_solves": sched_solves,
             "via_slab": False,
+            **warm,
         }
         slab = attach_array(task.result) if task.result is not None else None
         try:

@@ -2,6 +2,10 @@
 NAS search axes (first-conv kernel size, SPP pyramid levels, FC widths)
 plus batching, variable input sizes, and BatchNorm folding."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -120,6 +124,33 @@ class TestBackendSelection:
         # compiled_for defaults to the deployment chip shape, which needs
         # a real 100x100-capable config; the small config qualifies.
         assert compiled_for(model) is compiled_for(model)
+
+    def test_compiled_for_frees_model_and_engine(self):
+        model = SPPNetDetector(small_config(), seed=9)
+        compiled = compiled_for(model)
+        compiled.warmup([1])
+        model_ref, engine_ref = weakref.ref(model), weakref.ref(compiled)
+        del model, compiled
+        gc.collect()
+        assert model_ref() is None
+        assert engine_ref() is None
+
+    def test_compiled_for_result_keeps_its_model(self):
+        model = SPPNetDetector(small_config(), seed=9)
+        compiled = compiled_for(model)
+        model_ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert model_ref() is not None
+        # a new input shape re-traces the model
+        logits, _ = compiled(chips(1, size=40))
+        assert logits.shape == (1, 2)
+
+    def test_pickled_model_carries_no_engine(self):
+        model = SPPNetDetector(small_config(), seed=9)
+        compiled_for(model)
+        clone = pickle.loads(pickle.dumps(model))
+        assert compiled_for(clone) is not compiled_for(model)
 
     def test_unknown_backend_rejected(self):
         model = SPPNetDetector(small_config(), seed=9)

@@ -128,15 +128,34 @@ class TestRealModelPlan:
         assert plan.reuse_factor > 1.0
         assert compiled.planned_peak_bytes(batch=2) == plan.peak_bytes
 
-    def test_plan_matches_execution_dtype(self, monkeypatch):
-        # Pin the conv variant: the autotuner may legitimately pick
-        # different kernels (with different scratch shapes) per dtype,
-        # which would break the exact 2x byte relation this asserts.
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "im2col")
+    def test_plan_matches_execution_dtype(self):
         model = SPPNetDetector(self.config(), seed=0)
         f32 = CompiledModel(model, (4, 32, 32), dtype=np.float32)
         f64 = CompiledModel(model, (4, 32, 32), dtype=np.float64)
         assert f64.planned_peak_bytes() == 2 * f32.planned_peak_bytes()
+
+    def test_programs_share_one_arena(self):
+        model = SPPNetDetector(self.config(), seed=0)
+        compiled = CompiledModel(model, (4, 32, 32))
+        compiled.warmup([8, 1, 3])
+        arena = compiled._arena
+        # sized for the largest program, plus cache-line padding per slot
+        peak = max(compiled.planned_peak_bytes(b) for b in (1, 3, 8))
+        slots = max(len(p._slots) for p in compiled._programs.values())
+        assert peak <= arena.nbytes < peak + 64 * slots
+        for prog in compiled._programs.values():
+            assert all(np.shares_memory(slot, arena) for slot in prog._slots)
+        # outputs are copied out, so running another batch size over
+        # the same arena leaves earlier results intact
+        x = np.random.default_rng(0).standard_normal(
+            (8, 4, 32, 32)).astype(np.float32)
+        first = compiled(x[:1])
+        first_copy = [a.copy() for a in first]
+        compiled(x)
+        for got, want in zip(first, first_copy):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(compiled(x[:1]), first_copy):
+            np.testing.assert_array_equal(got, want)
 
 
 def diamond_steps(scratch: int = 0):

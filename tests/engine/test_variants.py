@@ -1,24 +1,30 @@
-"""Conv kernel variants: equivalence, fused pooling, and the autotuner."""
+"""Conv kernel variants: equivalence, fused pooling, and the variant rule."""
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.arch import ConvSpec, PoolSpec, SPPNetConfig
+from repro.detect.predict import predict
 from repro.detect.sppnet import SPPNetDetector
 from repro.engine import CompiledModel
+from repro.engine import compile as engine_compile
+from repro.engine import compiled as compiled_module
 from repro.engine.autotune import (
     CONV_VARIANTS,
     ConvKey,
-    choose_variant,
-    eligible_variants,
+    autotune_choices,
+    clear_autotune_cache,
+    select_variant,
 )
 from repro.engine.kernels import (
     bind_conv,
     conv_out_hw,
     conv_scratch_elems,
     pack_conv_weight,
-    winograd23_pack_weight,
 )
+from repro.nas.space import sppnet_search_space
 from repro.tensor import Tensor, no_grad
 from repro.tensor.modules import Conv2d, MaxPool2d, ReLU, Sequential
 
@@ -48,17 +54,15 @@ def run_variant(variant, *, batch=2, h=13, w=11, c=3, f=8, k=3, stride=1,
     fn = bind_conv(
         variant, src=src, out=out, scratch=scratch, k=k, stride=stride,
         pad=pad, relu=relu, pool=pool,
-        w_pack=pack_conv_weight(weight, b_vec, np.dtype(np.float32)),
-        wg_pack=(winograd23_pack_weight(weight, np.dtype(np.float32))
-                 if k == 3 and stride == 1 else None, b_vec))
+        w_pack=pack_conv_weight(weight, b_vec, np.dtype(np.float32)))
     fn()
     return out
 
 
 class TestKernelEquivalence:
-    """im2col is the reference; the other variants must match it."""
+    """im2col is the reference; the tiled variant must match it."""
 
-    @pytest.mark.parametrize("variant", ["im2col_tiled", "winograd23"])
+    @pytest.mark.parametrize("variant", ["im2col_tiled"])
     @pytest.mark.parametrize("pool", [None, (2, 2)])
     @pytest.mark.parametrize("pad", [0, 1])
     def test_3x3_stride1(self, variant, pool, pad):
@@ -77,25 +81,17 @@ class TestKernelEquivalence:
     def test_without_bias_and_relu(self):
         kw = dict(h=10, w=10, c=3, f=4, bias=False, relu=False)
         ref = run_variant("im2col", **kw)
-        for variant in ("im2col_tiled", "winograd23"):
-            np.testing.assert_allclose(
-                run_variant(variant, **kw), ref, atol=2e-5, rtol=1e-4)
+        np.testing.assert_allclose(
+            run_variant("im2col_tiled", **kw), ref, atol=2e-5, rtol=1e-4)
 
     def test_odd_output_with_fused_pool(self):
         # 13x11 input -> 11x9 conv output -> 5x4 pooled: the pool floors
-        # away the odd edge, which trips any kernel that pools a padded
-        # Winograd tile without cropping first.
+        # away the odd edge, so the tiled kernel must skip the trailing
+        # row block that no pool window covers.
         kw = dict(h=13, w=11, c=3, f=8, pool=(2, 2))
         ref = run_variant("im2col", **kw)
-        for variant in ("im2col_tiled", "winograd23"):
-            np.testing.assert_allclose(
-                run_variant(variant, **kw), ref, atol=2e-5, rtol=1e-4)
-
-    def test_winograd_rejects_non_3x3(self):
-        with pytest.raises(ValueError):
-            run_variant("winograd23", k=5)
-        with pytest.raises(ValueError):
-            run_variant("winograd23", k=3, stride=2)
+        np.testing.assert_allclose(
+            run_variant("im2col_tiled", **kw), ref, atol=2e-5, rtol=1e-4)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -105,11 +101,16 @@ class TestKernelEquivalence:
 class TestCompiledEquivalence:
     """Every variant must produce eager-equivalent full-model outputs."""
 
-    @pytest.mark.parametrize("variant", CONV_VARIANTS)
-    def test_forced_variant_matches_eager(self, variant, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", variant)
-        from repro.detect.predict import predict
+    @pytest.fixture()
+    def force(self, monkeypatch):
+        def pin(variant):
+            monkeypatch.setattr(compiled_module, "select_variant",
+                                lambda key: variant)
+        return pin
 
+    @pytest.mark.parametrize("variant", CONV_VARIANTS)
+    def test_forced_variant_matches_eager(self, variant, force):
+        force(variant)
         model = SPPNetDetector(small_config(), seed=3)
         model.eval()
         x = np.random.default_rng(0).standard_normal(
@@ -117,12 +118,13 @@ class TestCompiledEquivalence:
         conf, boxes = predict(model, x, batch_size=3)
         compiled = CompiledModel(model, (4, 32, 32))
         eng_conf, eng_boxes = compiled.predict(x, batch_size=3)
+        assert set(compiled.kernel_choices(batch=3).values()) == {variant}
         np.testing.assert_allclose(eng_conf, conf, atol=1e-4, rtol=1e-3)
         np.testing.assert_allclose(eng_boxes, boxes, atol=1e-4, rtol=1e-3)
 
     @pytest.mark.parametrize("variant", CONV_VARIANTS)
-    def test_forced_variant_padded_conv(self, variant, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", variant)
+    def test_forced_variant_padded_conv(self, variant, force):
+        force(variant)
         net = Sequential(Conv2d(3, 8, 3, padding=1), ReLU(), MaxPool2d(2, 2))
         net.eval()
         x = np.random.default_rng(1).standard_normal(
@@ -150,121 +152,97 @@ def key(**overrides):
     return ConvKey(**base)
 
 
-class TestAutotuner:
-    def test_eligibility(self):
-        assert eligible_variants(key()) == CONV_VARIANTS
-        assert "winograd23" not in eligible_variants(key(kernel=5))
-        assert "winograd23" not in eligible_variants(key(stride=2))
-        assert eligible_variants(key(mode="int8")) == ("im2col",)
-
-    def test_choice_is_fastest_and_sticky(self):
-        cache = {}
-        made = []
-
-        def make_kernel(variant):
-            made.append(variant)
-            return variant
-
-        rigged = {"im2col": 3.0, "im2col_tiled": 1.0, "winograd23": 2.0}
-        k = key()
-        first = choose_variant(k, make_kernel, bench=rigged.get, cache=cache)
-        assert first == "im2col_tiled"
-        assert set(made) == set(CONV_VARIANTS)
-        # Second call: memoized, no kernels rebuilt, even with timings
-        # rigged the other way.
-        made.clear()
-        flipped = {"im2col": 1.0, "im2col_tiled": 3.0, "winograd23": 2.0}
-        again = choose_variant(k, make_kernel, bench=flipped.get, cache=cache)
-        assert again == "im2col_tiled"
-        assert made == []
-
-    def test_tie_breaks_to_first_listed(self):
-        cache = {}
-        flat = dict.fromkeys(CONV_VARIANTS, 1.0)
-        choice = choose_variant(key(), lambda v: v, bench=flat.get,
-                                cache=cache)
-        assert choice == "im2col"
-
-    def test_distinct_keys_tuned_independently(self):
-        cache = {}
-        rigged = {"im2col": 3.0, "im2col_tiled": 1.0, "winograd23": 2.0}
-        choose_variant(key(), lambda v: v, bench=rigged.get, cache=cache)
-        choose_variant(key(batch=20), lambda v: v,
-                       bench={"im2col": 0.5, "im2col_tiled": 3.0,
-                              "winograd23": 2.0}.get, cache=cache)
-        assert cache[key()] == "im2col_tiled"
-        assert cache[key(batch=20)] == "im2col"
-
-    def test_env_override_bypasses_cache(self, monkeypatch):
-        cache = {key(): "im2col"}
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "winograd23")
-        choice = choose_variant(key(), lambda v: v,
-                                bench=lambda fn: 0.0, cache=cache)
-        assert choice == "winograd23"
-        assert cache[key()] == "im2col"  # override never cached
-
-    def test_env_override_ignored_when_ineligible(self, monkeypatch):
-        # int8 pins im2col; a forced winograd must not apply there.
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "winograd23")
-        choice = choose_variant(key(mode="int8"), lambda v: v,
-                                bench=lambda fn: 0.0, cache={})
-        assert choice == "im2col"
-
-    def test_env_override_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_VARIANT", "fft")
-        with pytest.raises(ValueError):
-            choose_variant(key(), lambda v: v, bench=lambda fn: 0.0, cache={})
+def expected_variant(in_channels, kernel, mode):
+    """The rule, restated: tiled for float convs with a <= 64-wide row."""
+    if mode != "int8" and in_channels * kernel * kernel <= 64:
+        return "im2col_tiled"
+    return "im2col"
 
 
-class TestSnapshotSeed:
-    """Cross-process choice shipping: the worker pool sends the parent's
-    sticky choices so every process binds the same kernels."""
+class TestVariantRule:
+    def test_geometry_decides(self):
+        assert select_variant(key(in_channels=4, kernel=3)) == "im2col_tiled"
+        assert select_variant(key(in_channels=4, kernel=1)) == "im2col_tiled"
+        assert select_variant(key(in_channels=4, kernel=5)) == "im2col"
+        assert select_variant(key(in_channels=64, kernel=1)) == "im2col_tiled"
+        assert select_variant(key(in_channels=64, kernel=3)) == "im2col"
+        assert select_variant(key(in_channels=8, kernel=3)) == "im2col"
 
-    @pytest.fixture()
-    def fresh_keys(self):
-        # deliberately implausible geometry so these keys can never
-        # collide with real autotuned entries in the process-wide cache
-        from repro.engine import autotune
+    def test_int8_pins_im2col(self):
+        for k in (1, 3, 9):
+            assert select_variant(key(kernel=k, mode="int8")) == "im2col"
 
-        keys = [key(height=7777, width=7777),
-                key(height=7777, width=7778)]
-        yield keys
-        with autotune._lock:
-            for k in keys:
-                autotune._cache.pop(k, None)
+    def test_batch_and_dtype_do_not_matter(self):
+        base = select_variant(key())
+        for batch in (1, 2, 20):
+            for dtype in ("float32", "float64"):
+                assert select_variant(key(batch=batch, dtype=dtype)) == base
 
-    def test_seed_then_snapshot_roundtrips(self, fresh_keys):
-        from repro.engine import autotune
+    def test_decisions_are_recorded_and_cleared(self):
+        saved = autotune_choices()
+        try:
+            clear_autotune_cache()
+            k = key(height=4321)
+            select_variant(k)
+            assert autotune_choices() == {k: "im2col_tiled"}
+            clear_autotune_cache()
+            assert autotune_choices() == {}
+        finally:
+            clear_autotune_cache()
+            for old in saved:
+                select_variant(old)
 
-        k1, k2 = fresh_keys
-        autotune.seed({k1: "winograd23", k2: "im2col_tiled"})
-        snap = autotune.snapshot()
-        assert snap[k1] == "winograd23"
-        assert snap[k2] == "im2col_tiled"
 
-    def test_seeded_choice_wins_over_local_measurement(self, fresh_keys):
-        # a seeded process must bind the parent's kernel even when its
-        # own timings would pick another variant
-        from repro.engine import autotune
+FIRST_KERNELS = sppnet_search_space()["first_kernel"].candidates
+RULE_BATCHES = (1, 2, 3, 4, 8, 16, 20)
+#: engine-vs-eager tolerance per execution mode (float32 matches the
+#: equivalence suite; the reduced modes match the quantized-parity suite)
+MODE_ATOL = {"float32": 1e-5, "float16": 2e-3, "int8": 0.08}
 
-        k1 = fresh_keys[0]
-        autotune.seed({k1: "winograd23"})
-        rigged = {"im2col": 0.1, "im2col_tiled": 0.2, "winograd23": 9.0}
-        choice = choose_variant(k1, lambda v: v, bench=rigged.get)
-        assert choice == "winograd23"
 
-    def test_local_sticky_choice_survives_seeding(self, fresh_keys):
-        from repro.engine import autotune
+@functools.lru_cache(maxsize=None)
+def rule_model(kernel):
+    model = SPPNetDetector(small_config(kernel=kernel), seed=1)
+    model.eval()
+    return model
 
-        k1 = fresh_keys[0]
-        rigged = {"im2col": 0.1, "im2col_tiled": 0.2, "winograd23": 9.0}
-        assert choose_variant(k1, lambda v: v, bench=rigged.get) == "im2col"
-        autotune.seed({k1: "winograd23"})
-        assert autotune.snapshot()[k1] == "im2col"
 
-    def test_seed_rejects_unknown_variant(self, fresh_keys):
-        from repro.engine import autotune
+@functools.lru_cache(maxsize=None)
+def rule_chips(batch):
+    return np.random.default_rng(batch).standard_normal(
+        (batch, 4, 32, 32)).astype(np.float32)
 
-        with pytest.raises(ValueError, match="unknown conv variant"):
-            autotune.seed({fresh_keys[0]: "fft"})
-        assert fresh_keys[0] not in autotune.snapshot()
+
+@functools.lru_cache(maxsize=None)
+def rule_eager(kernel, batch):
+    return predict(rule_model(kernel), rule_chips(batch), batch_size=batch)
+
+
+@functools.lru_cache(maxsize=None)
+def rule_engine(kernel, mode):
+    return engine_compile(rule_model(kernel), quant=mode, schedule=False)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_ATOL))
+@pytest.mark.parametrize("batch", RULE_BATCHES)
+@pytest.mark.parametrize("first_kernel", FIRST_KERNELS)
+def test_rule_over_search_space(first_kernel, batch, mode):
+    compiled = rule_engine(first_kernel, mode)
+    x = rule_chips(batch)
+    conf, boxes = compiled.predict(x, batch_size=batch)
+
+    shapes = {s.name: s.out_shape for s in compiled.steps}
+    convs = [s for s in compiled.steps if s.kind in ("conv", "conv_pool")]
+    bound = compiled.kernel_choices(batch=batch)
+    assert set(bound) == {s.name for s in convs}
+    for step in convs:
+        in_channels = shapes[step.inputs[0]][0]
+        assert bound[step.name] == expected_variant(
+            in_channels, int(step.attrs["kernel"]), mode), step.name
+    if mode == "int8":
+        assert set(bound.values()) == {"im2col"}
+
+    ref_conf, ref_boxes = rule_eager(first_kernel, batch)
+    atol = MODE_ATOL[mode]
+    np.testing.assert_allclose(conf, ref_conf, atol=atol, rtol=1e-4)
+    np.testing.assert_allclose(boxes, ref_boxes, atol=atol, rtol=1e-4)

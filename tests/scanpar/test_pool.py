@@ -161,57 +161,34 @@ class TestPoolReuse:
         assert list(result) == list(sequential)
 
 
-class TestAutotuneSync:
-    """ensure_model ships the parent's conv-variant choices: a worker
-    that measured a near-tie the other way would bind a kernel with
-    different float rounding, breaking scan byte-identity."""
+class TestKernelParity:
+    """Conv kernels follow a fixed geometry rule, so a freshly spawned
+    worker binds exactly the parent's kernels with no tuning shipped —
+    the scan's byte-identity holds by construction."""
 
-    @pytest.fixture()
-    def seeded_key(self):
-        from repro.engine import autotune
-        from repro.engine.autotune import ConvKey
+    def test_spawn_worker_binds_parent_kernels(self, model, scene):
+        from repro.engine import compiled_for
 
-        # implausible geometry: never collides with a real tuned entry
-        k = ConvKey(batch=1, height=7777, width=7777, in_channels=4,
-                    out_channels=8, kernel=3, stride=1, padding=0,
-                    pool=True, dtype="float32", mode="float32")
-        autotune.seed({k: "im2col_tiled"})
-        yield k
-        with autotune._lock:
-            autotune._cache.pop(k, None)
-
-    def test_choices_ship_once_and_reship_to_replacements(self, model,
-                                                          seeded_key):
-        with WorkerPool(2) as pool:
-            pool.ensure_model(model)
-            assert all(seeded_key in w.tuned for w in pool._workers)
-            shipped = [set(w.tuned) for w in pool._workers]
-            pool.ensure_model(model)  # delta empty: nothing re-sent
-            assert [set(w.tuned) for w in pool._workers] == shipped
-            # a replacement worker starts untuned and gets the full
-            # snapshot on the next ensure_model (the supervisor's
-            # revive path calls exactly this)
-            fresh = pool.replace_worker(pool._workers[0])
-            assert fresh.tuned == set()
-            pool.ensure_model(model)
-            assert seeded_key in fresh.tuned
-
-    def test_engine_scan_tunes_parent_before_shipping(self, model, scene):
-        # the parallel engine scan must autotune the scan's conv
-        # geometry in the PARENT and ship those choices before any
-        # worker compiles — otherwise each worker measures the
-        # near-tie itself and may bind a different kernel
-        from repro.engine import autotune
-
-        sequential = scan(model, scene, n_workers=1, backend="engine")
-        with WorkerPool(2) as pool:
-            pooled = scan(model, scene, n_workers=2, pool=pool,
-                          backend="engine")
-            scan_keys = {k for k in autotune.snapshot()
-                         if k.height == WINDOW and k.width == WINDOW}
-            assert scan_keys, "parent never tuned the scan geometry"
-            assert all(scan_keys <= w.tuned for w in pool._workers)
-        assert list(pooled) == list(sequential)
+        with WorkerPool(2, start_method="spawn") as pool, \
+                SharedArray(scene.image) as shared:
+            model_hash = pool.ensure_model(model)
+            tasks = make_tasks(scene, shared, model_hash)
+            payloads, _ = pool.run(tasks, model)
+        sizes = set()
+        for task in tasks:
+            span = task.stop - task.start
+            sizes.add(min(BATCH, span))
+            if span % BATCH:
+                sizes.add(span % BATCH)
+        reported = {}
+        for payload in payloads:
+            reported.update(payload["kernel_choices"])
+        assert set(reported) == sizes
+        shape = (scene.image.shape[0], WINDOW, WINDOW)
+        parent = compiled_for(model)
+        for batch, choices in reported.items():
+            assert choices
+            assert choices == parent.kernel_choices(batch, shape)
 
 
 class TestScheduleSync:
